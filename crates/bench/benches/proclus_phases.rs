@@ -4,10 +4,14 @@
 //! for one hill-climbing round; Figure 7/8/9 shapes follow from how
 //! their costs scale in N, l, and d.
 //!
-//! Two further groups measure the round-level optimizations:
+//! Further groups measure the round-level optimizations. Every pool
+//! pass runs the columnar block kernels (the pool's only layout), so
+//! these groups time those kernels against their scalar references or
+//! across thread counts, cache and index settings:
 //!
-//! * `round_pass/10k` — the historical two-sweep locality + X
-//!   computation vs the fused single-sweep kernel, both serial.
+//! * `round_pass/10k` — the two-sweep scalar reference (`localities`
+//!   then `average_dimension_distances`) vs the pool's fused
+//!   single-sweep kernel, both serial.
 //! * `pooled_round/100k` — one full hill-climbing round (fused pass →
 //!   FindDimensions → assignment) through the persistent worker pool at
 //!   1, 2, 4, and 8 threads on a paper-scale dataset; the per-round
@@ -20,9 +24,6 @@
 //!   (high-dimensional clusters, where the bounds genuinely prune);
 //!   also writes `BENCH_5.json` with the exact-distance-evaluation
 //!   reduction and wall-clock delta for both.
-//! * `columnar_round/*` — one round through the row-major vs the
-//!   dimension-major (columnar) kernels at N = 1M on the `projected`
-//!   and `separable` fixtures; writes `BENCH_6.json`.
 //! * `trace_overhead/2k` — a full `fit` with the default no-op
 //!   recorder vs an explicit `fit_traced(.., &NoopRecorder)` vs a live
 //!   `RingRecorder`. The first two must be indistinguishable (the
@@ -118,7 +119,7 @@ fn bench_fused_vs_unfused(c: &mut Criterion) {
         })
     });
     group.bench_function("fused_single_sweep", |b| {
-        with_pool(points, metric, 1, |pool| {
+        with_pool(points, metric, 1, false, |pool| {
             b.iter(|| black_box(pool.fused_round(&medoids, &deltas)))
         })
     });
@@ -152,7 +153,7 @@ fn bench_pooled_round_throughput(c: &mut Criterion) {
             BenchmarkId::from_parameter(threads),
             &threads,
             |b, &threads| {
-                with_pool(points, metric, threads, |pool| {
+                with_pool(points, metric, threads, false, |pool| {
                     b.iter(|| {
                         let (_locs, x) = pool.fused_round(&medoids, &deltas);
                         let dims = find_dimensions_from_averages(&x, 25, true);
@@ -221,7 +222,7 @@ fn bench_cached_vs_uncached_round(c: &mut Criterion) {
     // each preceded by a single bad-medoid swap. Returns mean seconds
     // per steady-state round.
     let run_rounds = |cache_on: bool, rounds: usize| -> f64 {
-        with_pool(points, metric, 1, |pool| {
+        with_pool(points, metric, 1, false, |pool| {
             let mut cache = RoundCache::new(cache_on, k);
             let mut medoids = initial.clone();
             black_box(cached_round(
@@ -241,7 +242,7 @@ fn bench_cached_vs_uncached_round(c: &mut Criterion) {
     let mut group = c.benchmark_group(format!("cached_round/{n}"));
     for (label, cache_on) in [("uncached", false), ("cached", true)] {
         group.bench_function(label, |b| {
-            with_pool(points, metric, 1, |pool| {
+            with_pool(points, metric, 1, false, |pool| {
                 let mut cache = RoundCache::new(cache_on, k);
                 let mut medoids = initial.clone();
                 let mut r = 0usize;
@@ -347,7 +348,7 @@ fn bench_indexed_assignment(c: &mut Criterion) {
         let mut group = c.benchmark_group(format!("indexed_assignment/{name}/{n}"));
         for (label, indexed) in [("unindexed", false), ("indexed", true)] {
             group.bench_function(label, |b| {
-                with_pool(points, metric, 1, |pool| {
+                with_pool(points, metric, 1, false, |pool| {
                     if indexed {
                         pool.set_index(Some(Arc::new(NeighborIndex::build(points, metric))));
                     }
@@ -368,36 +369,37 @@ fn bench_indexed_assignment(c: &mut Criterion) {
         // leaves the prune counters untouched, so the indexed path's
         // evaluation count is the [`PruneStats`] delta.
         let index = Arc::new(NeighborIndex::build(points, metric));
-        let (unindexed_secs, indexed_secs, indexed_evals) = with_pool(points, metric, 1, |pool| {
-            let round = |pool: &mut proclus_core::pool::Pool<'_>| {
-                let (_locs, x) = pool.fused_round(&medoids, &deltas);
-                let dims = find_dimensions_from_averages(&x, total_dims, true);
-                black_box(pool.assign(&medoids, &dims));
-            };
-            // Warm-up both configurations.
-            pool.set_index(None);
-            round(pool);
-            pool.set_index(Some(Arc::clone(&index)));
-            round(pool);
-            let base = pool.prune_stats();
-            let (mut plain_secs, mut idx_secs) = (0.0f64, 0.0f64);
-            for _ in 0..rounds {
+        let (unindexed_secs, indexed_secs, indexed_evals) =
+            with_pool(points, metric, 1, false, |pool| {
+                let round = |pool: &mut proclus_core::pool::Pool<'_>| {
+                    let (_locs, x) = pool.fused_round(&medoids, &deltas);
+                    let dims = find_dimensions_from_averages(&x, total_dims, true);
+                    black_box(pool.assign(&medoids, &dims));
+                };
+                // Warm-up both configurations.
                 pool.set_index(None);
-                let t = std::time::Instant::now();
                 round(pool);
-                plain_secs += t.elapsed().as_secs_f64();
                 pool.set_index(Some(Arc::clone(&index)));
-                let t = std::time::Instant::now();
                 round(pool);
-                idx_secs += t.elapsed().as_secs_f64();
-            }
-            let stats = pool.prune_stats();
-            let evals = (stats.range_verified + stats.nearest_verified
-                - base.range_verified
-                - base.nearest_verified)
-                / rounds as u64;
-            (plain_secs / rounds as f64, idx_secs / rounds as f64, evals)
-        });
+                let base = pool.prune_stats();
+                let (mut plain_secs, mut idx_secs) = (0.0f64, 0.0f64);
+                for _ in 0..rounds {
+                    pool.set_index(None);
+                    let t = std::time::Instant::now();
+                    round(pool);
+                    plain_secs += t.elapsed().as_secs_f64();
+                    pool.set_index(Some(Arc::clone(&index)));
+                    let t = std::time::Instant::now();
+                    round(pool);
+                    idx_secs += t.elapsed().as_secs_f64();
+                }
+                let stats = pool.prune_stats();
+                let evals = (stats.range_verified + stats.nearest_verified
+                    - base.range_verified
+                    - base.nearest_verified)
+                    / rounds as u64;
+                (plain_secs / rounds as f64, idx_secs / rounds as f64, evals)
+            });
         let unindexed_evals = 2 * (n * k) as u64;
         let speedup = unindexed_secs / indexed_secs;
         let eval_reduction = 1.0 - indexed_evals as f64 / unindexed_evals as f64;
@@ -449,128 +451,6 @@ fn bench_indexed_assignment(c: &mut Criterion) {
     }
 }
 
-/// Columnar (dimension-major tiled) vs row-major kernels for one full
-/// round (fused locality + X pass → FindDimensions → assignment) on
-/// the two paper-scale fixtures of `bench_indexed_assignment`, at
-/// `N` = 1M by default (override with `PROCLUS_BENCH_N6`, falling back
-/// to `PROCLUS_BENCH_N`), single-threaded pool, no neighbor index —
-/// isolating the layout itself. Results go to `BENCH_6.json` (override
-/// with `PROCLUS_BENCH_OUT6`).
-///
-/// * `projected` (d = 20) — small per-medoid dimension sets; the round
-///   is dominated by the full-space locality sweep where both layouts
-///   stream the same bytes. Parity (speedup ≈ 1) is the goal.
-/// * `separable` (d = 100) — wide accumulations; the columnar loops
-///   update a tile of independent accumulators per dimension, which
-///   auto-vectorizes, while the row-major loop is one serial f64
-///   dependency chain per (point, medoid). This is where the layout
-///   must win.
-///
-/// Rounds alternate row-major and columnar on two pools over the same
-/// matrix so machine-load drift hits both configurations equally. No
-/// criterion group: at N = 1M criterion's sampling would swamp CI, and
-/// the JSON report is the artifact that matters.
-fn bench_columnar_kernels(_c: &mut Criterion) {
-    use proclus_core::pool::{with_pool_opts, PoolOptions};
-
-    let n: usize = std::env::var("PROCLUS_BENCH_N6")
-        .or_else(|_| std::env::var("PROCLUS_BENCH_N"))
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1_000_000);
-    let rounds: usize = std::env::var("PROCLUS_BENCH_ROUNDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(5);
-    let metric = DistanceKind::Manhattan;
-    let fixtures = [
-        ("projected", 20usize, 5usize, 5usize, 25usize),
-        ("separable", 100, 10, 80, 600),
-    ];
-    let mut rows = Vec::new();
-    for (name, d, k, cluster_dims, total_dims) in fixtures {
-        let data = SyntheticSpec::new(n, d, k, cluster_dims as f64)
-            .fixed_dims(vec![cluster_dims; k])
-            .seed(7)
-            .generate();
-        let points = &data.points;
-        let candidates: Vec<usize> = (0..points.rows()).step_by(31).collect();
-        let mut rng = StdRng::seed_from_u64(3);
-        let medoids = greedy_select(points, &candidates, k, &metric, &mut rng);
-        let deltas = medoid_deltas(points, &medoids, metric);
-
-        let round = |pool: &mut proclus_core::pool::Pool<'_>| {
-            let (_locs, x) = pool.fused_round(&medoids, &deltas);
-            let dims = find_dimensions_from_averages(&x, total_dims, true);
-            black_box(pool.assign(&medoids, &dims));
-        };
-        let row_opts = PoolOptions {
-            columnar: false,
-            fast_math: false,
-        };
-        let col_opts = PoolOptions {
-            columnar: true,
-            fast_math: false,
-        };
-        let (rowmajor_secs, columnar_secs) = with_pool_opts(points, metric, 1, row_opts, |p0| {
-            with_pool_opts(points, metric, 1, col_opts, |p1| {
-                // Warm up both configurations (page-in, branch warmup).
-                round(p0);
-                round(p1);
-                let (mut row_secs, mut col_secs) = (0.0f64, 0.0f64);
-                for _ in 0..rounds {
-                    let t = std::time::Instant::now();
-                    round(p0);
-                    row_secs += t.elapsed().as_secs_f64();
-                    let t = std::time::Instant::now();
-                    round(p1);
-                    col_secs += t.elapsed().as_secs_f64();
-                }
-                (row_secs / rounds as f64, col_secs / rounds as f64)
-            })
-        });
-        let speedup = rowmajor_secs / columnar_secs;
-        eprintln!(
-            "columnar_round/{name}/{n}: row-major {:.1}ms columnar {:.1}ms speedup {speedup:.2}x",
-            rowmajor_secs * 1e3,
-            columnar_secs * 1e3,
-        );
-        rows.push(format!(
-            "    {{\n      \"fixture\": \"{name}\",\n      \
-             \"d\": {d},\n      \
-             \"k\": {k},\n      \
-             \"cluster_dims\": {cluster_dims},\n      \
-             \"rowmajor_ms_per_round\": {:.3},\n      \
-             \"columnar_ms_per_round\": {:.3},\n      \
-             \"speedup\": {speedup:.2}\n    }}",
-            rowmajor_secs * 1e3,
-            columnar_secs * 1e3,
-        ));
-    }
-
-    let out = std::env::var("PROCLUS_BENCH_OUT6")
-        .unwrap_or_else(|_| concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_6.json").to_string());
-    let json = format!(
-        "{{\n  \"bench\": \"columnar_round\",\n  \"n\": {n},\n  \
-         \"rounds\": {rounds},\n  \
-         \"fixtures\": [\n{}\n  ],\n  \
-         \"caveat\": \"wall-clock means over {rounds} interleaved rounds (fused \
-         locality+X pass, FindDimensions, assignment) after one warm-up round \
-         per configuration, single-threaded pool, no neighbor index, measured \
-         in a 1-CPU dev container; both configurations are bit-identical in \
-         output (the columnar layout preserves the accumulation order), so \
-         the delta is pure layout/vectorization effect; absolute times on \
-         shared CI/dev hardware are noisy — the interleaved speedup ratio \
-         is the stable number\"\n}}\n",
-        rows.join(",\n"),
-    );
-    if let Err(e) = std::fs::write(&out, json) {
-        eprintln!("warning: could not write {out}: {e}");
-    } else {
-        eprintln!("columnar_round -> {out}");
-    }
-}
-
 /// The disabled-recorder path must cost nothing: `fit` (which wires in
 /// `NoopRecorder` itself) and an explicit `fit_traced(.., &Noop)` are
 /// the same code path, and both must match the pre-observability
@@ -612,7 +492,6 @@ criterion_group!(
     bench_pooled_round_throughput,
     bench_cached_vs_uncached_round,
     bench_indexed_assignment,
-    bench_columnar_kernels,
     bench_trace_overhead
 );
 criterion_main!(benches);

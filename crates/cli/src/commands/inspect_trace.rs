@@ -108,29 +108,6 @@ fn index_summary(manifest: &json::Json) -> Option<String> {
     ))
 }
 
-/// Derived columnar-layout coverage from the `layout.*` manifest
-/// counters: how many block dispatches ran on a dimension-major tile
-/// vs the row-major fallback. `None` when the trace has no layout
-/// counters (layout disabled, or a pre-layout trace).
-fn layout_summary(manifest: &json::Json) -> Option<String> {
-    let counter = |name: &str| {
-        manifest
-            .get("counters")
-            .and_then(|c| c.get(name))
-            .and_then(json::Json::as_usize)
-    };
-    let columnar = counter("layout.columnar_blocks")?;
-    let rowmajor = counter("layout.rowmajor_blocks")?;
-    let total = columnar + rowmajor;
-    if total == 0 {
-        return Some("columnar layout: n/a (0 blocks dispatched)".to_string());
-    }
-    let pct = columnar as f64 * 100.0 / total as f64;
-    Some(format!(
-        "columnar layout: {columnar}/{total} blocks columnar ({pct:.1}%)"
-    ))
-}
-
 /// Derived `f32` fast-path effectiveness from the `fastmath.*`
 /// manifest counters: pairs excluded by the conservative screen vs
 /// pairs verified exactly. `None` when the trace has no fast-math
@@ -218,9 +195,6 @@ pub fn run(args: &Args, out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
         writeln!(out, "{line}")?;
     }
     if let Some(line) = index_summary(&manifest) {
-        writeln!(out, "{line}")?;
-    }
-    if let Some(line) = layout_summary(&manifest) {
         writeln!(out, "{line}")?;
     }
     if let Some(line) = fastmath_summary(&manifest) {
@@ -375,7 +349,6 @@ mod tests {
                 "\"index.range_sketch_pruned\":0,\"index.range_triangle_pruned\":0,",
                 "\"index.range_prefix_pruned\":0,\"index.range_verified\":0,",
                 "\"index.nearest_pruned\":0,\"index.nearest_verified\":0,",
-                "\"layout.columnar_blocks\":0,\"layout.rowmajor_blocks\":0,",
                 "\"fastmath.screened\":0,\"fastmath.excluded\":0,",
                 "\"fastmath.verified\":0}}"
             ),
@@ -390,7 +363,6 @@ mod tests {
         assert!(text.contains("fused n/a (0 lookups)"), "{text}");
         assert!(text.contains("range n/a (0 queries)"), "{text}");
         assert!(text.contains("nearest n/a (0 queries)"), "{text}");
-        assert!(text.contains("columnar layout: n/a"), "{text}");
         assert!(text.contains("fast math: n/a"), "{text}");
         assert!(!text.contains("0.0%"), "zero-total rate leaked: {text}");
         assert!(!text.contains("NaN"), "{text}");
@@ -415,7 +387,6 @@ mod tests {
         run(&args, &mut buf).unwrap();
         std::fs::remove_dir_all(&dir).ok();
         let text = String::from_utf8(buf).unwrap();
-        assert!(text.contains("columnar layout:"), "{text}");
         assert!(!text.contains("NaN"), "{text}");
         // A genuinely-zero rate over a nonzero total (e.g. "0/1200
         // pruned (0.0%)") is meaningful and allowed; what must never

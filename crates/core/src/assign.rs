@@ -17,6 +17,7 @@
 
 use crate::index::{raw_len_factor, raw_tbase, segmental_bounded, PruneStats, NEAREST_MIN_DIMS};
 use proclus_math::{DistanceKind, Matrix};
+use std::ops::Range;
 
 /// Assignment preconditions shared by the exact and pruned variants.
 fn validate_assign_inputs(medoids: &[usize], dims: &[Vec<usize>]) {
@@ -49,7 +50,28 @@ pub fn assign_points(
 ) -> Vec<usize> {
     validate_assign_inputs(medoids, dims);
     let mut assignment = Vec::with_capacity(points.rows());
-    for p in 0..points.rows() {
+    assign_range(
+        points,
+        medoids,
+        dims,
+        metric,
+        0..points.rows(),
+        &mut assignment,
+    );
+    assignment
+}
+
+/// The [`assign_points`] loop over the rows in `rows`, appending each
+/// winner to `out`.
+fn assign_range(
+    points: &Matrix,
+    medoids: &[usize],
+    dims: &[Vec<usize>],
+    metric: DistanceKind,
+    rows: Range<usize>,
+    out: &mut Vec<usize>,
+) {
+    for p in rows {
         let row = points.row(p);
         let mut best = 0usize;
         let mut best_dist = f64::INFINITY;
@@ -60,9 +82,8 @@ pub fn assign_points(
                 best = i;
             }
         }
-        assignment.push(best);
+        out.push(best);
     }
-    assignment
 }
 
 /// [`assign_points`] with monotone prefix pruning (see
@@ -115,14 +136,14 @@ pub fn assign_points_pruned(
                 // rest of the scan to the plain loop (bit-identical
                 // winners either way).
                 stats.nearest_verified += ((points.rows() - p) * medoids.len()) as u64;
-                assignment.extend(crate::kernel::assign_block(
+                assign_range(
                     points,
-                    metric,
                     medoids,
                     dims,
-                    p,
-                    points.rows(),
-                ));
+                    metric,
+                    p..points.rows(),
+                    &mut assignment,
+                );
                 return assignment;
             }
         }

@@ -429,16 +429,19 @@ mod tests {
                     let medoids = vec![4usize, 600, 1100];
                     let dims = vec![vec![0, 1], vec![1, 2, 3], vec![0, 4]];
                     let scalar = crate::assign::assign_points(&points, &medoids, &dims, metric);
-                    let blocked: Vec<usize> = crate::kernel::blocks(points.rows())
-                        .into_iter()
-                        .flat_map(|(lo, hi)| {
-                            crate::kernel::assign_block(&points, metric, &medoids, &dims, lo, hi)
+                    let layout = crate::layout::ColumnarBlocks::build(&points, false);
+                    let blocked: Vec<usize> = layout
+                        .tiles()
+                        .flat_map(|t| {
+                            crate::kernel::assign_block_columnar(
+                                &t, &points, metric, &medoids, &dims, None,
+                            )
                         })
                         .collect();
                     assert_eq!(scalar, blocked, "{metric:?} seed {seed}: blocked kernel");
                     for threads in [1usize, 4] {
                         let (pooled, cached, cached_again) =
-                            with_pool(&points, metric, threads, |pool| {
+                            with_pool(&points, metric, threads, false, |pool| {
                                 let mut cache = RoundCache::new(true, medoids.len());
                                 let pooled = pool.assign(&medoids, &dims);
                                 let cached = cache.assign(pool, &medoids, &dims);
@@ -467,7 +470,7 @@ mod tests {
 
         let run_rounds = |cache_on: bool| {
             let mut medoids = medoids.clone();
-            with_pool(&points, metric, 1, |pool| {
+            with_pool(&points, metric, 1, false, |pool| {
                 let mut cache = RoundCache::new(cache_on, medoids.len());
                 let mut out = Vec::new();
                 for round in 0..6 {
@@ -529,7 +532,7 @@ mod tests {
         let medoids = vec![3usize, 800];
         let dims = vec![vec![0, 1], vec![2, 3]];
         let deltas = medoid_deltas(&points, &medoids, metric);
-        with_pool(&points, metric, 1, |pool| {
+        with_pool(&points, metric, 1, false, |pool| {
             let mut cache = RoundCache::new(false, medoids.len());
             let direct = pool.fused_round(&medoids, &deltas);
             let via_cache = cache.fused_round(pool, &medoids, &deltas);

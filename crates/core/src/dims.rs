@@ -23,6 +23,7 @@
 //! and absorb the entire dataset. [`crate::assign`] rejects empty
 //! dimension sets outright; this module never produces one.
 
+use crate::kernel::BLOCK;
 use proclus_math::order::total_cmp_nan_last;
 use proclus_math::{stats, Matrix};
 
@@ -35,6 +36,13 @@ use proclus_math::{stats, Matrix};
 /// single-dimension restriction coincides with the same absolute
 /// difference, so this function is metric-independent.
 ///
+/// This is the scalar reference for every pooled `X` pass, and it sums
+/// in the pool's order: each set's members (ascending, as every
+/// producer in the crate emits them) are added block by block over the
+/// canonical [`crate::kernel::blocks`] tiling, and the block partials
+/// are folded in ascending order. The result therefore equals the
+/// pool's `merge_*` averages bit for bit, at every thread count.
+///
 /// An empty reference set yields an all-zero row (its medoid will then
 /// receive whatever dimensions the allocator hands out; callers avoid
 /// this by construction since localities contain their medoid).
@@ -46,18 +54,30 @@ pub fn average_dimension_distances(
     assert_eq!(medoids.len(), reference_sets.len());
     let d = points.cols();
     let mut x = vec![vec![0.0; d]; medoids.len()];
-    for (i, (&m, set)) in medoids.iter().zip(reference_sets).enumerate() {
+    let mut block = vec![0.0; d];
+    let fold = |xi: &mut [f64], block: &mut [f64]| {
+        for (a, b) in xi.iter_mut().zip(block.iter_mut()) {
+            *a += *b;
+            *b = 0.0;
+        }
+    };
+    for (xi, (&m, set)) in x.iter_mut().zip(medoids.iter().zip(reference_sets)) {
         if set.is_empty() {
             continue;
         }
         let mrow = points.row(m);
-        let xi = &mut x[i];
+        let mut current = set[0] / BLOCK;
         for &p in set {
+            if p / BLOCK != current {
+                fold(xi, &mut block);
+                current = p / BLOCK;
+            }
             let prow = points.row(p);
             for j in 0..d {
-                xi[j] += (prow[j] - mrow[j]).abs();
+                block[j] += (prow[j] - mrow[j]).abs();
             }
         }
+        fold(xi, &mut block);
         let inv = 1.0 / set.len() as f64;
         for v in xi.iter_mut() {
             *v *= inv;
@@ -235,6 +255,23 @@ mod tests {
         let m = Matrix::from_rows(&[[5.0, 5.0]], 2);
         let x = average_dimension_distances(&m, &[0], &[vec![]]);
         assert_eq!(x, vec![vec![0.0, 0.0]]);
+    }
+
+    /// Members are summed per canonical block, then the block sums are
+    /// folded: `1e16 + (1 + 1)` keeps the two ones that a single running
+    /// sum `(1e16 + 1) + 1` would round away.
+    #[test]
+    fn average_distances_sum_block_by_block() {
+        let mut rows = vec![[0.0f64]; BLOCK + 2];
+        rows[1] = [1.0e16];
+        rows[BLOCK] = [1.0];
+        rows[BLOCK + 1] = [1.0];
+        let m = Matrix::from_rows(&rows, 1);
+        let x = average_dimension_distances(&m, &[0], &[vec![1, BLOCK, BLOCK + 1]]);
+        let blocked = (1.0e16f64 + (1.0 + 1.0)) * (1.0 / 3.0);
+        assert_eq!(x[0][0].to_bits(), blocked.to_bits());
+        let running = (1.0e16f64 + 1.0 + 1.0) * (1.0 / 3.0);
+        assert_ne!(blocked.to_bits(), running.to_bits());
     }
 
     #[test]

@@ -20,7 +20,7 @@ use crate::init::candidate_medoids;
 use crate::locality::medoid_deltas;
 use crate::model::{Degradation, FitDiagnostics, ProclusModel};
 use crate::params::Proclus;
-use crate::pool::{with_pool_opts, Pool, PoolOptions};
+use crate::pool::{with_pool, Pool};
 use crate::refine::refine_with_pool;
 use proclus_math::Matrix;
 use proclus_obs::{timed, Event, NoopRecorder, Phase, Recorder};
@@ -71,16 +71,7 @@ pub fn run_traced(
             restarts,
         });
     }
-    let opts = PoolOptions {
-        columnar: true,
-        fast_math: params.fast_math,
-    };
-    let result = with_pool_opts(points, params.distance, params.threads, opts, |pool| {
-        install_index(params, points, pool, rec);
-        // One cache for the whole fit: its entries are value-keyed, so
-        // state surviving a restart is either bit-identical (and
-        // served) or mismatched (and recomputed) — never stale.
-        let mut cache = RoundCache::new(params.round_cache, params.k);
+    fit_in_pool(params, points, rec, |pool, cache| {
         let mut best: Option<ProclusModel> = None;
         let mut last_error: Option<ProclusError> = None;
         for r in 0..restarts {
@@ -94,9 +85,7 @@ pub fn run_traced(
             // A collapsed restart is a degradation, not a failure, as
             // long as some other restart produces a usable model: record
             // it and keep climbing from the remaining seeds.
-            match run_once(
-                params, points, seed, None, r, pool, &mut cache, &mut diag, rec,
-            ) {
+            match run_once(params, points, seed, None, r, pool, cache, &mut diag, rec) {
                 Ok(model) => {
                     if best
                         .as_ref()
@@ -115,13 +104,8 @@ pub fn run_traced(
                 }
             }
         }
-        record_pool_measurements(rec, pool);
-        record_cache_measurements(rec, &cache);
-        record_index_measurements(rec, pool);
-        record_layout_measurements(rec, pool);
-        record_fastmath_measurements(rec, pool);
         match best {
-            Some(model) => Ok(model.with_diagnostics(diag.clone())),
+            Some(model) => Ok(model.with_diagnostics(diag)),
             // Every restart collapsed. One restart: surface its error
             // directly; several: summarize as non-convergence.
             None => match last_error {
@@ -129,7 +113,38 @@ pub fn run_traced(
                 _ => Err(ProclusError::NonConvergence { restarts }),
             },
         }
-    });
+    })
+}
+
+/// The per-fit setup and accounting shared by every entry point: one
+/// worker pool (with the neighbor index installed when enabled) and
+/// one round cache serve the whole of `body`. The cache's entries are
+/// value-keyed, so state surviving a restart is either bit-identical
+/// (and served) or mismatched (and recomputed) — never stale. The pool,
+/// cache, index and fast-path measurements are recorded whether `body`
+/// succeeds or fails, and `fit_end` closes a successful fit.
+fn fit_in_pool(
+    params: &Proclus,
+    points: &Matrix,
+    rec: &dyn Recorder,
+    body: impl FnOnce(&mut Pool<'_>, &mut RoundCache) -> Result<ProclusModel, ProclusError>,
+) -> Result<ProclusModel, ProclusError> {
+    let result = with_pool(
+        points,
+        params.distance,
+        params.threads,
+        params.fast_math,
+        |pool| {
+            install_index(params, points, pool, rec);
+            let mut cache = RoundCache::new(params.round_cache, params.k);
+            let result = body(pool, &mut cache);
+            record_pool_measurements(rec, pool);
+            record_cache_measurements(rec, &cache);
+            record_index_measurements(rec, pool);
+            record_fastmath_measurements(rec, pool);
+            result
+        },
+    );
     record_fit_end(rec, &result);
     result
 }
@@ -163,20 +178,6 @@ fn record_index_measurements(rec: &dyn Recorder, pool: &Pool<'_>) {
     rec.counter("index.range_verified", stats.range_verified);
     rec.counter("index.nearest_pruned", stats.nearest_pruned);
     rec.counter("index.nearest_verified", stats.nearest_verified);
-}
-
-/// Columnar-layout coverage → `layout.*` counters (manifest channel
-/// only; emitted only when the layout is built, so a `columnar: false`
-/// pool's manifest stays silent). `columnar_blocks` counts block
-/// dispatches served by a dimension-major tile, `rowmajor_blocks` the
-/// dispatches that fell back to the row-major kernels.
-fn record_layout_measurements(rec: &dyn Recorder, pool: &Pool<'_>) {
-    if !rec.enabled() || !pool.layout_enabled() {
-        return;
-    }
-    let (columnar, rowmajor) = pool.layout_block_counts();
-    rec.counter("layout.columnar_blocks", columnar);
-    rec.counter("layout.rowmajor_blocks", rowmajor);
 }
 
 /// `f32` fast-path effectiveness → `fastmath.*` counters (manifest
@@ -338,14 +339,8 @@ pub fn run_from_medoids_traced(
             seed: params.rng_seed,
         });
     }
-    let opts = PoolOptions {
-        columnar: true,
-        fast_math: params.fast_math,
-    };
-    let result = with_pool_opts(points, params.distance, params.threads, opts, |pool| {
-        install_index(params, points, pool, rec);
-        diag.restarts = 1;
-        let mut cache = RoundCache::new(params.round_cache, params.k);
+    diag.restarts = 1;
+    fit_in_pool(params, points, rec, |pool, cache| {
         let model = run_once(
             params,
             points,
@@ -353,19 +348,12 @@ pub fn run_from_medoids_traced(
             Some(initial),
             0,
             pool,
-            &mut cache,
+            cache,
             &mut diag,
             rec,
         )?;
-        record_pool_measurements(rec, pool);
-        record_cache_measurements(rec, &cache);
-        record_index_measurements(rec, pool);
-        record_layout_measurements(rec, pool);
-        record_fastmath_measurements(rec, pool);
-        Ok(model.with_diagnostics(diag.clone()))
-    });
-    record_fit_end(rec, &result);
-    result
+        Ok(model.with_diagnostics(diag))
+    })
 }
 
 /// One initialization + hill climb + refinement, from `seed`.
@@ -899,6 +887,34 @@ mod tests {
         assert!(params
             .fit_with_initial_medoids(&data.points, &[10, 600])
             .is_err());
+    }
+
+    /// Regression: a fit from initial medoids that ends in an error
+    /// still records its counters. The measurement block used to sit
+    /// behind the `?` on the climb's result, so a failing fit recorded
+    /// nothing while `fit_traced` on the same data recorded everything.
+    #[test]
+    fn failed_initial_medoids_fit_still_records_counters() {
+        use proclus_obs::RingRecorder;
+        let mut rows: Vec<[f64; 2]> = (0..6)
+            .map(|i| [(i % 5) as f64, (i / 5) as f64 * 10.0])
+            .collect();
+        rows[0] = [f64::NAN, 2.0];
+        rows[1] = [f64::NAN, 2.0];
+        let m = Matrix::from_rows(&rows, 2);
+        let params = Proclus::new(2, 2.0).seed(3).restarts(1);
+        let ring = RingRecorder::new(4096);
+        let err = params
+            .fit_with_initial_medoids_traced(&m, &[0, 1], &ring)
+            .unwrap_err();
+        assert!(matches!(err, ProclusError::ClusterCollapse { .. }), "{err}");
+        assert!(ring.counter_value("pool.dispatches") > 0);
+        let full = RingRecorder::new(4096);
+        let _ = params.fit_traced(&m, &full);
+        let names = |r: &RingRecorder| -> Vec<&'static str> {
+            r.counters().into_iter().map(|(name, _)| name).collect()
+        };
+        assert_eq!(names(&ring), names(&full));
     }
 
     /// On cleanly separated projected clusters the hill climbing should

@@ -1,40 +1,59 @@
 //! Block-level compute kernels for the O(N·k·d) passes of a
-//! hill-climbing round, shared by the serial path and the worker pool
-//! ([`crate::pool`]).
+//! hill-climbing round, run by the worker pool ([`crate::pool`]) over
+//! the dimension-major tiles of [`crate::layout::ColumnarBlocks`].
+//!
+//! # One kernel per pass
+//!
+//! Each pass has exactly one block kernel, checked bit for bit against
+//! one plain scalar reference:
+//!
+//! | pass | block kernel | scalar reference |
+//! |---|---|---|
+//! | locality + `X` | [`fused_block_columnar`] | [`crate::locality::localities`], [`crate::dims::average_dimension_distances`] |
+//! | assignment | [`assign_block_columnar`] | [`crate::assign::assign_points`] |
+//! | assignment + `X` | [`assign_x_block_columnar`] | `assign_points`, `average_dimension_distances` |
+//! | distance columns | [`columns_block_columnar`] | [`DistanceKind::eval_segmental`] |
+//! | cluster `X` | [`cluster_x_block_columnar`] | `average_dimension_distances` |
+//! | refinement reassignment | [`refine_assign_block_columnar`] | the loop in [`crate::refine::refine_opt`] |
+//!
+//! With the neighbor index installed the locality and assignment-style
+//! passes run a `*_pruned` variant instead (see below), whose gate-off
+//! tail is the same columnar kernel.
 //!
 //! # The fused pass
 //!
-//! A round of the iterative phase historically made two sweeps over the
-//! data: one to test every point against every medoid's locality radius
-//! (full-space segmental distance) and one to accumulate the
-//! per-dimension average distances `Xᵢⱼ` over each locality. Both need
-//! the same `|p_j − m_j|` values, so [`fused_block`] computes them once
-//! per (point, medoid) pair: the absolute differences fill a scratch
-//! buffer, the locality test folds them into the segmental distance,
-//! and — when the point is inside the locality — the very same buffer
-//! is added into the `Xᵢⱼ` accumulator. One O(N·k·d) sweep instead of
-//! two.
+//! Locality membership (full-space segmental distance against `δᵢ`) and
+//! the per-dimension average distances `Xᵢⱼ` over each locality need the
+//! same `|p_j − m_j|` values, so [`fused_block_columnar`] derives both
+//! from one sweep over a tile: the distances decide membership, and the
+//! members' differences are added into the `Xᵢⱼ` accumulator while the
+//! tile is still cache-resident.
+//!
+//! # Columnar loops
+//!
+//! The kernels loop dimensions outermost over a whole tile of points:
+//! each inner iteration updates `w` *independent* accumulators (one per
+//! point), a branch-free form the auto-vectorizer handles, while every
+//! individual accumulator still receives exactly the same additions in
+//! exactly the same (dimension-ascending) order as the scalar
+//! reference's per-point loop. With `|x|·|x| == x·x` bitwise and
+//! `f64::max` being the very function the scalar fold uses, every
+//! distance, membership flag, winner and `X` cell is bit-identical.
 //!
 //! # Determinism
 //!
-//! All kernels operate on fixed-size row blocks of [`BLOCK`] points.
+//! All kernels operate on the fixed [`BLOCK`]-row tiles of [`blocks`].
 //! A block's partial result depends only on the block's rows, never on
 //! which thread ran it, and partials are merged on the coordinating
 //! thread in ascending block order. Floating-point accumulation order
-//! is therefore *canonical*: every thread count (including the serial
-//! path, which runs the identical per-block code) produces bit-identical
-//! localities, `X` sums, dimension sets, and assignments.
-//!
-//! The segmental distances computed from the scratch buffer are
-//! bit-identical to [`DistanceKind::eval_segmental`] over the full
-//! dimension list: the summation order is the same, and for the
-//! Euclidean kind `|x|·|x|` equals `x·x` bitwise (taking the absolute
-//! value only clears the sign bit).
+//! is therefore *canonical*: every thread count produces bit-identical
+//! localities, `X` sums, dimension sets, and assignments. The `X`
+//! reference walks the same tiling, so it equals the merged sums too.
 //!
 //! # Pruned variants
 //!
-//! Each assignment-style kernel has a `*_pruned` twin that consults the
-//! neighbor index ([`crate::index`]) to skip exact evaluations whose
+//! Each assignment-style kernel has a `*_pruned` variant that consults
+//! the neighbor index ([`crate::index`]) to skip exact evaluations whose
 //! outcome is already decided — a certified lower bound above the
 //! locality radius (range queries) or a monotone prefix value at or
 //! above the current best (nearest-medoid queries). Pruning never
@@ -42,9 +61,9 @@
 //! non-member / non-winner, every surviving evaluation runs the exact
 //! code in the exact order, and the `X` accumulations add exactly the
 //! member rows the unpruned kernel would add. The pruned kernels are
-//! therefore bit-identical to their twins (asserted by the agreement
-//! tests below), and the per-block [`PruneStats`] they fill count work
-//! saved, not results changed.
+//! therefore bit-identical to the columnar kernels (asserted by the
+//! agreement tests below), and the per-block [`PruneStats`] they fill
+//! count work saved, not results changed.
 
 use crate::index::{
     raw_gt_threshold, raw_len_factor, raw_tbase, segmental_bounded, FusedPruneCtx, PruneStats,
@@ -99,64 +118,6 @@ fn segmental_from_diffs(metric: DistanceKind, diffs: &[f64]) -> f64 {
     }
 }
 
-/// The fused pass over rows `lo..hi`: locality membership for every
-/// (point, medoid) pair plus the `Xᵢⱼ` partial sums over the members,
-/// from a single computation of the `|p_j − m_j|` differences.
-pub fn fused_block(
-    points: &Matrix,
-    metric: DistanceKind,
-    medoids: &[usize],
-    deltas: &[f64],
-    lo: usize,
-    hi: usize,
-) -> FusedPartial {
-    let d = points.cols();
-    let k = medoids.len();
-    let mut locs: Vec<Vec<usize>> = vec![Vec::new(); k];
-    let mut xsums = vec![vec![0.0; d]; k];
-    let mut diffs = vec![0.0; d];
-    fused_range(
-        points, metric, medoids, deltas, lo, hi, &mut locs, &mut xsums, &mut diffs,
-    );
-    FusedPartial { locs, xsums }
-}
-
-/// The plain fused scan over rows `lo..hi`, continuing accumulation
-/// into existing `locs`/`xsums`. Kept separate so the pruned kernel can
-/// hand the post-probe tail of a block to the exact plain loop (same
-/// codegen, same summation order) when its adaptive gates turn the
-/// pruning machinery off.
-#[allow(clippy::too_many_arguments)]
-fn fused_range(
-    points: &Matrix,
-    metric: DistanceKind,
-    medoids: &[usize],
-    deltas: &[f64],
-    lo: usize,
-    hi: usize,
-    locs: &mut [Vec<usize>],
-    xsums: &mut [Vec<f64>],
-    diffs: &mut [f64],
-) {
-    let d = points.cols();
-    for p in lo..hi {
-        let prow = points.row(p);
-        for (i, &m) in medoids.iter().enumerate() {
-            let mrow = points.row(m);
-            for j in 0..d {
-                diffs[j] = (prow[j] - mrow[j]).abs();
-            }
-            if segmental_from_diffs(metric, diffs) <= deltas[i] {
-                locs[i].push(p);
-                let xi = &mut xsums[i];
-                for j in 0..d {
-                    xi[j] += diffs[j];
-                }
-            }
-        }
-    }
-}
-
 /// Merge fused partials (given in ascending block order) into the final
 /// localities and the `X` averages (`Xᵢⱼ` = mean over locality `i` of
 /// `|p_j − m_j|`).
@@ -167,7 +128,7 @@ fn fused_range(
 /// `X` row (`|m_j − m_j| = 0` in exact arithmetic; pinning the row
 /// avoids poisoning FindDimensions with NaN differences). The same
 /// fallback lives in [`crate::locality::localities`], so the fused and
-/// legacy paths stay identical.
+/// reference paths stay identical.
 pub fn merge_fused(
     partials: Vec<FusedPartial>,
     medoids: &[usize],
@@ -202,71 +163,16 @@ pub fn merge_fused(
     (locs, x)
 }
 
-/// Assignment over rows `lo..hi`: each point goes to the medoid with the
-/// smallest segmental distance under that medoid's dimension set, ties
-/// to the lower index — bit-identical to
-/// [`crate::assign::assign_points`] restricted to the block.
-pub fn assign_block(
-    points: &Matrix,
-    metric: DistanceKind,
-    medoids: &[usize],
-    dims: &[Vec<usize>],
-    lo: usize,
-    hi: usize,
-) -> Vec<usize> {
-    let mut out = Vec::with_capacity(hi - lo);
-    for p in lo..hi {
-        let row = points.row(p);
-        let mut best = 0usize;
-        let mut best_dist = f64::INFINITY;
-        for (i, (&m, di)) in medoids.iter().zip(dims).enumerate() {
-            let dist = metric.eval_segmental(row, points.row(m), di);
-            if dist < best_dist {
-                best_dist = dist;
-                best = i;
-            }
-        }
-        out.push(best);
-    }
-    out
-}
-
-/// Per-slot segmental-distance columns over rows `lo..hi`:
-/// `out[s][p − lo] = metric.eval_segmental(points.row(p),
-/// points.row(medoids[s]), &dims[s])`.
-///
-/// Each value is exactly the scalar the assignment kernels compare —
-/// there is no accumulation across rows — so a column computed here and
-/// cached across rounds is bit-identical to recomputing the distance
-/// inside [`assign_block`].
-pub fn columns_block(
-    points: &Matrix,
-    metric: DistanceKind,
-    medoids: &[usize],
-    dims: &[Vec<usize>],
-    lo: usize,
-    hi: usize,
-) -> Vec<Vec<f64>> {
-    let mut out: Vec<Vec<f64>> = vec![Vec::with_capacity(hi - lo); medoids.len()];
-    for p in lo..hi {
-        let row = points.row(p);
-        for ((&m, di), col) in medoids.iter().zip(dims).zip(out.iter_mut()) {
-            col.push(metric.eval_segmental(row, points.row(m), di));
-        }
-    }
-    out
-}
-
 /// Assignment from per-slot distance columns: for every row, the slot
 /// with the smallest distance, ties (and the all-NaN degenerate case)
 /// to the lower slot index.
 ///
 /// Iterates slots in ascending order with a strict `<` comparison —
-/// exactly the loop of [`assign_block`]/[`crate::assign::assign_points`]
-/// — so feeding it columns produced by [`columns_block`] (cached or
-/// fresh) reproduces the direct assignment bit for bit, including the
-/// NaN behavior (a NaN distance never wins; a row whose every distance
-/// is NaN lands on slot 0).
+/// exactly the loop of [`crate::assign::assign_points`] — so feeding it
+/// columns produced by [`columns_block_columnar`] (cached or fresh)
+/// reproduces the direct assignment bit for bit, including the NaN
+/// behavior (a NaN distance never wins; a row whose every distance is
+/// NaN lands on slot 0).
 pub fn argmin_columns(columns: &[&[f64]], n: usize) -> Vec<usize> {
     let mut out = Vec::with_capacity(n);
     for p in 0..n {
@@ -292,71 +198,6 @@ pub struct AssignXPartial {
     /// Per-cluster, per-dimension sums of `|p_j − m_j|` to the winning
     /// medoid, over this block's rows.
     pub xsums: Vec<Vec<f64>>,
-}
-
-/// Assignment fused with the cluster-based `X` accumulation the inner
-/// refinement loop needs: once a point's winning medoid is known, its
-/// full-dimensional `|p_j − m_j|` differences are added to that
-/// cluster's `X` sums in the same sweep, saving the separate O(N·d)
-/// pass over the freshly formed clusters.
-pub fn assign_x_block(
-    points: &Matrix,
-    metric: DistanceKind,
-    medoids: &[usize],
-    dims: &[Vec<usize>],
-    lo: usize,
-    hi: usize,
-) -> AssignXPartial {
-    let d = points.cols();
-    let mut xsums = vec![vec![0.0; d]; medoids.len()];
-    let mut assignment = Vec::with_capacity(hi - lo);
-    assign_x_range(
-        points,
-        metric,
-        medoids,
-        dims,
-        lo,
-        hi,
-        &mut xsums,
-        &mut assignment,
-    );
-    AssignXPartial { assignment, xsums }
-}
-
-/// The plain assign + `X` scan over rows `lo..hi`, continuing
-/// accumulation into existing `xsums`/`assignment` — the tail loop the
-/// pruned kernel falls back to when its adaptive gate turns abandonment
-/// off, preserving the plain codegen and the exact `X` summation order.
-#[allow(clippy::too_many_arguments)]
-fn assign_x_range(
-    points: &Matrix,
-    metric: DistanceKind,
-    medoids: &[usize],
-    dims: &[Vec<usize>],
-    lo: usize,
-    hi: usize,
-    xsums: &mut [Vec<f64>],
-    assignment: &mut Vec<usize>,
-) {
-    let d = points.cols();
-    for p in lo..hi {
-        let row = points.row(p);
-        let mut best = 0usize;
-        let mut best_dist = f64::INFINITY;
-        for (i, (&m, di)) in medoids.iter().zip(dims).enumerate() {
-            let dist = metric.eval_segmental(row, points.row(m), di);
-            if dist < best_dist {
-                best_dist = dist;
-                best = i;
-            }
-        }
-        assignment.push(best);
-        let mrow = points.row(medoids[best]);
-        let xi = &mut xsums[best];
-        for j in 0..d {
-            xi[j] += (row[j] - mrow[j]).abs();
-        }
-    }
 }
 
 /// Merge assign-`X` partials (ascending block order) into the flat
@@ -391,31 +232,6 @@ pub fn merge_assign_x(
     (flat, x)
 }
 
-/// Cluster-based `X` partial sums over rows `lo..hi` for a fixed
-/// assignment (`None` entries — outliers — contribute to no cluster).
-/// Used by the refinement phase, where the reference sets are the final
-/// iterative clusters rather than a just-computed assignment.
-pub fn cluster_x_block(
-    points: &Matrix,
-    medoids: &[usize],
-    assignment: &[Option<usize>],
-    lo: usize,
-    hi: usize,
-) -> Vec<Vec<f64>> {
-    let d = points.cols();
-    let mut xsums = vec![vec![0.0; d]; medoids.len()];
-    for (p, a) in assignment.iter().enumerate().take(hi).skip(lo) {
-        let Some(i) = *a else { continue };
-        let row = points.row(p);
-        let mrow = points.row(medoids[i]);
-        let xi = &mut xsums[i];
-        for j in 0..d {
-            xi[j] += (row[j] - mrow[j]).abs();
-        }
-    }
-    xsums
-}
-
 /// Merge cluster-`X` partials into averages, dividing by the reference
 /// set sizes (`counts[i]` = number of points assigned to cluster `i`).
 pub fn merge_cluster_x(partials: Vec<Vec<Vec<f64>>>, counts: &[usize], d: usize) -> Vec<Vec<f64>> {
@@ -436,40 +252,6 @@ pub fn merge_cluster_x(partials: Vec<Vec<Vec<f64>>>, counts: &[usize], d: usize)
         }
     }
     x
-}
-
-/// Refinement assignment over rows `lo..hi`: nearest medoid under the
-/// per-medoid dimension sets, `None` when the point lies inside no
-/// medoid's sphere of influence — bit-identical to the loop in
-/// [`crate::refine::refine_opt`] restricted to the block.
-pub fn refine_assign_block(
-    points: &Matrix,
-    metric: DistanceKind,
-    medoids: &[usize],
-    dims: &[Vec<usize>],
-    spheres: &[f64],
-    lo: usize,
-    hi: usize,
-) -> Vec<Option<usize>> {
-    let mut out = Vec::with_capacity(hi - lo);
-    for p in lo..hi {
-        let row = points.row(p);
-        let mut best = 0usize;
-        let mut best_dist = f64::INFINITY;
-        let mut inside_any = false;
-        for (i, (&m, di)) in medoids.iter().zip(dims).enumerate() {
-            let dist = metric.eval_segmental(row, points.row(m), di);
-            if dist <= spheres[i] {
-                inside_any = true;
-            }
-            if dist < best_dist {
-                best_dist = dist;
-                best = i;
-            }
-        }
-        out.push(inside_any.then_some(best));
-    }
-    out
 }
 
 /// Fill `diffs` with `|a_j − b_j|` while accumulating the segmental
@@ -540,26 +322,24 @@ fn fill_diffs_bounded(
     }
 }
 
-/// [`fused_block`] with index pruning: candidates whose sketch or
-/// triangle lower bound proves them outside `δᵢ` skip the exact
+/// [`fused_block_columnar`] with index pruning: candidates whose sketch
+/// or triangle lower bound proves them outside `δᵢ` skip the exact
 /// evaluation entirely, and the surviving evaluations abandon mid-sum
 /// once their prefix accumulator certifies `dist > δᵢ`. Members, their
 /// order, and the `X` sums are bit-identical to the unpruned kernel — a
 /// pruned or abandoned pair is certainly a non-member, so it would have
 /// contributed nothing either way, and a member's evaluation never
 /// abandons (its accumulator stays below the threshold throughout).
-#[allow(clippy::too_many_arguments)]
 pub fn fused_block_pruned(
+    tile: &TileView<'_>,
     points: &Matrix,
     metric: DistanceKind,
     medoids: &[usize],
     deltas: &[f64],
     ctx: &FusedPruneCtx,
-    lo: usize,
-    hi: usize,
     stats: &mut PruneStats,
-    tile: Option<&TileView<'_>>,
 ) -> FusedPartial {
+    let (lo, hi) = (tile.lo(), tile.hi());
     let d = points.cols();
     let k = medoids.len();
     let mut locs: Vec<Vec<usize>> = vec![Vec::new(); k];
@@ -599,19 +379,13 @@ pub fn fused_block_pruned(
             prefix_on = abandoned * PREFIX_KEEP_DEN >= reached * PREFIX_KEEP_NUM;
             if !bounds_on && !prefix_on {
                 // Nothing left of the pruning machinery: hand the rest
-                // of the block to the plain loop — columnar when the
-                // layout is available — continuing the same
+                // of the block to the columnar loop, continuing the same
                 // accumulators so membership order and `X` summation
                 // order stay bit-identical.
                 stats.range_verified += ((hi - p) * k) as u64;
-                match tile {
-                    Some(t) => fused_range_columnar(
-                        t, points, metric, medoids, deltas, p, hi, &mut locs, &mut xsums,
-                    ),
-                    None => fused_range(
-                        points, metric, medoids, deltas, p, hi, &mut locs, &mut xsums, &mut diffs,
-                    ),
-                }
+                fused_range_columnar(
+                    tile, points, metric, medoids, deltas, p, hi, &mut locs, &mut xsums,
+                );
                 return FusedPartial { locs, xsums };
             }
         }
@@ -652,42 +426,28 @@ pub fn fused_block_pruned(
     FusedPartial { locs, xsums }
 }
 
-/// [`assign_block`] with monotone prefix pruning: a candidate's
-/// evaluation is abandoned once its running segmental prefix reaches
-/// the incumbent best distance — the prefix is a certified lower bound
-/// (see [`crate::index`]), and `prefix ≥ best` already decides the
-/// strict `<` comparison against it. Winners are bit-identical.
-#[allow(clippy::too_many_arguments)]
+/// [`assign_block_columnar`] with monotone prefix pruning: a
+/// candidate's evaluation is abandoned once its running segmental
+/// prefix reaches the incumbent best distance — the prefix is a
+/// certified lower bound (see [`crate::index`]), and `prefix ≥ best`
+/// already decides the strict `<` comparison against it. Winners are
+/// bit-identical.
 pub fn assign_block_pruned(
+    tile: &TileView<'_>,
     points: &Matrix,
     metric: DistanceKind,
     medoids: &[usize],
     dims: &[Vec<usize>],
-    lo: usize,
-    hi: usize,
     stats: &mut PruneStats,
-    tile: Option<&TileView<'_>>,
     mut fast: Option<&mut FastMathStats>,
 ) -> Vec<usize> {
+    let (lo, hi) = (tile.lo(), tile.hi());
     // When every projection is tiny, evaluating is cheaper than
     // reasoning about abandoning (see `NEAREST_MIN_DIMS`) — run the
-    // plain kernel (columnar when the layout is available) unchanged
-    // and count everything as verified.
+    // columnar kernel unchanged and count everything as verified.
     if dims.iter().all(|di| di.len() < NEAREST_MIN_DIMS) {
         stats.nearest_verified += ((hi - lo) * medoids.len()) as u64;
-        return match tile {
-            Some(t) => assign_block_columnar(
-                t,
-                points,
-                metric,
-                medoids,
-                dims,
-                lo,
-                hi,
-                fast.as_deref_mut(),
-            ),
-            None => assign_block(points, metric, medoids, dims, lo, hi),
-        };
+        return assign_block_columnar(tile, points, metric, medoids, dims, fast);
     }
     // Hoisted threshold halves: the per-candidate raw threshold is the
     // single multiply `tbase · lens[i]` (see `raw_tbase`).
@@ -712,23 +472,19 @@ pub fn assign_block_pruned(
             let reached = ((probe_end - lo) as u64) * big_slots;
             if abandoned * PREFIX_KEEP_DEN < reached * PREFIX_KEEP_NUM {
                 // Abandonment is not paying for its branches: hand the
-                // rest of the block to the plain loop (columnar when
-                // the layout is available).
+                // rest of the block to the columnar loop.
                 stats.nearest_verified += ((hi - p) * medoids.len()) as u64;
-                match tile {
-                    Some(t) => assign_range_columnar(
-                        t,
-                        points,
-                        metric,
-                        medoids,
-                        dims,
-                        p,
-                        hi,
-                        &mut out,
-                        fast.as_deref_mut(),
-                    ),
-                    None => out.extend(assign_block(points, metric, medoids, dims, p, hi)),
-                }
+                assign_range_columnar(
+                    tile,
+                    points,
+                    metric,
+                    medoids,
+                    dims,
+                    p,
+                    hi,
+                    &mut out,
+                    fast.as_deref_mut(),
+                );
                 return out;
             }
         }
@@ -762,37 +518,23 @@ pub fn assign_block_pruned(
     out
 }
 
-/// [`assign_x_block`] with the same prefix pruning as
+/// [`assign_x_block_columnar`] with the same prefix pruning as
 /// [`assign_block_pruned`]. The `X` accumulation only ever reads the
 /// *winning* medoid's full-dimensional differences, which are computed
 /// outside the pruned comparison, so the sums are untouched by pruning.
-#[allow(clippy::too_many_arguments)]
 pub fn assign_x_block_pruned(
+    tile: &TileView<'_>,
     points: &Matrix,
     metric: DistanceKind,
     medoids: &[usize],
     dims: &[Vec<usize>],
-    lo: usize,
-    hi: usize,
     stats: &mut PruneStats,
-    tile: Option<&TileView<'_>>,
     mut fast: Option<&mut FastMathStats>,
 ) -> AssignXPartial {
+    let (lo, hi) = (tile.lo(), tile.hi());
     if dims.iter().all(|di| di.len() < NEAREST_MIN_DIMS) {
         stats.nearest_verified += ((hi - lo) * medoids.len()) as u64;
-        return match tile {
-            Some(t) => assign_x_block_columnar(
-                t,
-                points,
-                metric,
-                medoids,
-                dims,
-                lo,
-                hi,
-                fast.as_deref_mut(),
-            ),
-            None => assign_x_block(points, metric, medoids, dims, lo, hi),
-        };
+        return assign_x_block_columnar(tile, points, metric, medoids, dims, fast);
     }
     let d = points.cols();
     let lens: Vec<f64> = dims
@@ -812,35 +554,22 @@ pub fn assign_x_block_pruned(
             let abandoned = stats.nearest_pruned - base_pruned;
             let reached = ((probe_end - lo) as u64) * big_slots;
             if abandoned * PREFIX_KEEP_DEN < reached * PREFIX_KEEP_NUM {
-                // Hand the rest of the block to the plain loop
-                // (columnar when the layout is available), continuing
-                // the same accumulators so the `X` summation order
-                // stays bit-identical.
+                // Hand the rest of the block to the columnar loop,
+                // continuing the same accumulators so the `X`
+                // summation order stays bit-identical.
                 stats.nearest_verified += ((hi - p) * medoids.len()) as u64;
-                match tile {
-                    Some(t) => assign_x_range_columnar(
-                        t,
-                        points,
-                        metric,
-                        medoids,
-                        dims,
-                        p,
-                        hi,
-                        &mut xsums,
-                        &mut assignment,
-                        fast.as_deref_mut(),
-                    ),
-                    None => assign_x_range(
-                        points,
-                        metric,
-                        medoids,
-                        dims,
-                        p,
-                        hi,
-                        &mut xsums,
-                        &mut assignment,
-                    ),
-                }
+                assign_x_range_columnar(
+                    tile,
+                    points,
+                    metric,
+                    medoids,
+                    dims,
+                    p,
+                    hi,
+                    &mut xsums,
+                    &mut assignment,
+                    fast.as_deref_mut(),
+                );
                 return AssignXPartial { assignment, xsums };
             }
         }
@@ -876,36 +605,29 @@ pub fn assign_x_block_pruned(
     AssignXPartial { assignment, xsums }
 }
 
-/// [`refine_assign_block`] with prefix pruning. A candidate here feeds
-/// *two* comparisons — `dist ≤ spheres[i]` (inside any sphere?) and
-/// `dist < best` (nearest?) — so an evaluation may only be abandoned
-/// when the prefix already decides **both**: `dist > spheres[i]`
-/// forces the membership test false, and `dist ≥ best` forces the
-/// nearest test false. Both conditions are "accumulator reaches a raw
-/// threshold", so their conjunction is the *larger* threshold (a NaN
-/// sphere threshold — an unconditionally-inside `∞` sphere — makes the
-/// conjunction unreachable). Outlier flags and winners are
-/// bit-identical.
-#[allow(clippy::too_many_arguments)]
+/// [`refine_assign_block_columnar`] with prefix pruning. A candidate
+/// here feeds *two* comparisons — `dist ≤ spheres[i]` (inside any
+/// sphere?) and `dist < best` (nearest?) — so an evaluation may only be
+/// abandoned when the prefix already decides **both**: `dist >
+/// spheres[i]` forces the membership test false, and `dist ≥ best`
+/// forces the nearest test false. Both conditions are "accumulator
+/// reaches a raw threshold", so their conjunction is the *larger*
+/// threshold (a NaN sphere threshold — an unconditionally-inside `∞`
+/// sphere — makes the conjunction unreachable). Outlier flags and
+/// winners are bit-identical.
 pub fn refine_assign_block_pruned(
+    tile: &TileView<'_>,
     points: &Matrix,
     metric: DistanceKind,
     medoids: &[usize],
     dims: &[Vec<usize>],
     spheres: &[f64],
-    lo: usize,
-    hi: usize,
     stats: &mut PruneStats,
-    tile: Option<&TileView<'_>>,
 ) -> Vec<Option<usize>> {
+    let (lo, hi) = (tile.lo(), tile.hi());
     if dims.iter().all(|di| di.len() < NEAREST_MIN_DIMS) {
         stats.nearest_verified += ((hi - lo) * medoids.len()) as u64;
-        return match tile {
-            Some(t) => {
-                refine_assign_block_columnar(t, points, metric, medoids, dims, spheres, lo, hi)
-            }
-            None => refine_assign_block(points, metric, medoids, dims, spheres, lo, hi),
-        };
+        return refine_assign_block_columnar(tile, points, metric, medoids, dims, spheres);
     }
     // Raw-unit "certainly outside the sphere" thresholds, one per slot
     // (spheres and dimension sets are fixed for the whole block).
@@ -930,17 +652,11 @@ pub fn refine_assign_block_pruned(
             let abandoned = stats.nearest_pruned - base_pruned;
             let reached = ((probe_end - lo) as u64) * big_slots;
             if abandoned * PREFIX_KEEP_DEN < reached * PREFIX_KEEP_NUM {
-                // Hand the rest of the block to the plain loop
-                // (columnar when the layout is available).
+                // Hand the rest of the block to the columnar loop.
                 stats.nearest_verified += ((hi - p) * medoids.len()) as u64;
-                match tile {
-                    Some(t) => refine_assign_range_columnar(
-                        t, points, metric, medoids, dims, spheres, p, hi, &mut out,
-                    ),
-                    None => out.extend(refine_assign_block(
-                        points, metric, medoids, dims, spheres, p, hi,
-                    )),
-                }
+                refine_assign_range_columnar(
+                    tile, points, metric, medoids, dims, spheres, p, hi, &mut out,
+                );
                 return out;
             }
         }
@@ -986,22 +702,7 @@ pub fn refine_assign_block_pruned(
 }
 
 // ---------------------------------------------------------------------
-// Columnar twins.
-//
-// Every kernel above loops points outermost and dimensions innermost:
-// per (point, candidate) pair the distance accumulator is a serial
-// dependency chain the compiler must not reassociate, so the loops stay
-// scalar. The twins below consume the dimension-major tiles of
-// [`crate::layout::ColumnarBlocks`] and loop dimensions outermost over
-// a whole block of points: each inner iteration updates `w`
-// *independent* accumulators (one per point), a branch-free form the
-// auto-vectorizer handles — while every individual accumulator still
-// receives exactly the same additions in exactly the same
-// (dimension-ascending) order as its row-major twin. Together with the
-// facts that `|x|·|x| == x·x` bitwise and that `f64::max` is the very
-// function the row-major fold uses, every distance, membership flag,
-// winner, and `X` cell is bit-identical (asserted by the agreement
-// tests below and by `tests/columnar.rs`).
+// Columnar kernels and their sub-range loops (see the module docs).
 
 /// Divide/fold the raw per-point accumulators of a full- or
 /// projected-space sweep into final segmental distances, matching the
@@ -1032,9 +733,9 @@ fn finalize_segmental(metric: DistanceKind, dist: &mut [f64], len: usize) {
 
 /// Raw full-space accumulators of `metric` between medoid row `mrow`
 /// and tile rows `lo..hi`, one per point, dimension-outer. The raw
-/// value per point is bit-identical to the fold over a row-major
-/// `diffs` buffer because each point's accumulator sees its dimensions
-/// in the same ascending order.
+/// value per point is bit-identical to the per-point fold of
+/// `eval_segmental` because each point's accumulator sees its
+/// dimensions in the same ascending order.
 fn raw_full_distances_columnar(
     tile: &TileView<'_>,
     metric: DistanceKind,
@@ -1125,7 +826,7 @@ fn segmental_column_columnar(
 
 /// Add each listed member's `|p_j − m_j|` row into the cluster's `X`
 /// sums, dimension-outer. Per `X` cell the members are visited in the
-/// same ascending order as the row-major kernels, and the local
+/// same ascending order as the scalar reference, and the local
 /// read-accumulate-writeback is bitwise the sequential in-place adds.
 fn accumulate_members_columnar(
     tile: &TileView<'_>,
@@ -1148,8 +849,9 @@ fn accumulate_members_columnar(
     }
 }
 
-/// Columnar twin of `fused_range`: continues accumulation into existing
-/// `locs`/`xsums`, so the pruned kernel can hand it a gate-off tail.
+/// The fused pass over tile rows `lo..hi`, continuing accumulation
+/// into existing `locs`/`xsums` so the pruned kernel can hand it a
+/// gate-off tail.
 #[allow(clippy::too_many_arguments)]
 fn fused_range_columnar(
     tile: &TileView<'_>,
@@ -1184,20 +886,20 @@ fn fused_range_columnar(
     }
 }
 
-/// Columnar twin of [`fused_block`].
+/// The fused pass over one tile: locality membership for every
+/// (point, medoid) pair plus the `Xᵢⱼ` partial sums over the members.
 pub fn fused_block_columnar(
     tile: &TileView<'_>,
     points: &Matrix,
     metric: DistanceKind,
     medoids: &[usize],
     deltas: &[f64],
-    lo: usize,
-    hi: usize,
 ) -> FusedPartial {
     let d = points.cols();
     let k = medoids.len();
     let mut locs: Vec<Vec<usize>> = vec![Vec::new(); k];
     let mut xsums = vec![vec![0.0; d]; k];
+    let (lo, hi) = (tile.lo(), tile.hi());
     fused_range_columnar(
         tile, points, metric, medoids, deltas, lo, hi, &mut locs, &mut xsums,
     );
@@ -1311,7 +1013,7 @@ fn assign_range_columnar_fast(
 /// squared accumulators need a different bound and simply take the
 /// exact columnar path), candidates are screened through
 /// [`assign_range_columnar_fast`] first; either way the winners are
-/// bit-identical to [`assign_block`].
+/// bit-identical to [`crate::assign::assign_points`].
 #[allow(clippy::too_many_arguments)]
 fn assign_range_columnar(
     tile: &TileView<'_>,
@@ -1349,28 +1051,28 @@ fn assign_range_columnar(
     out.extend_from_slice(&best);
 }
 
-/// Columnar twin of [`assign_block`] (winners bit-identical; `fast`
-/// engages the `f32` exactness-gated screen).
-#[allow(clippy::too_many_arguments)]
+/// Assignment over one tile: each point goes to the medoid with the
+/// smallest segmental distance under that medoid's dimension set, ties
+/// to the lower index (`fast` engages the `f32` exactness-gated
+/// screen; winners are bit-identical either way).
 pub fn assign_block_columnar(
     tile: &TileView<'_>,
     points: &Matrix,
     metric: DistanceKind,
     medoids: &[usize],
     dims: &[Vec<usize>],
-    lo: usize,
-    hi: usize,
     fast: Option<&mut FastMathStats>,
 ) -> Vec<usize> {
+    let (lo, hi) = (tile.lo(), tile.hi());
     let mut out = Vec::with_capacity(hi - lo);
     assign_range_columnar(tile, points, metric, medoids, dims, lo, hi, &mut out, fast);
     out
 }
 
-/// Columnar twin of `assign_x_range`: winners first (optionally `f32`-
-/// screened), then the per-cluster `X` sums accumulated dimension-outer
-/// over each cluster's members in ascending order — the same per-cell
-/// addition sequence as the row-major sweep.
+/// Assignment fused with the cluster-based `X` accumulation over tile
+/// rows `lo..hi`: winners first (optionally `f32`-screened), then the
+/// per-cluster `X` sums accumulated dimension-outer over each cluster's
+/// members in ascending order, continuing existing accumulators.
 #[allow(clippy::too_many_arguments)]
 fn assign_x_range_columnar(
     tile: &TileView<'_>,
@@ -1398,18 +1100,20 @@ fn assign_x_range_columnar(
     }
 }
 
-/// Columnar twin of [`assign_x_block`].
-#[allow(clippy::too_many_arguments)]
+/// Assignment fused with the cluster-based `X` accumulation the inner
+/// refinement loop needs: once a point's winning medoid is known, its
+/// full-dimensional `|p_j − m_j|` differences are added to that
+/// cluster's `X` sums in the same sweep, saving the separate O(N·d)
+/// pass over the freshly formed clusters.
 pub fn assign_x_block_columnar(
     tile: &TileView<'_>,
     points: &Matrix,
     metric: DistanceKind,
     medoids: &[usize],
     dims: &[Vec<usize>],
-    lo: usize,
-    hi: usize,
     fast: Option<&mut FastMathStats>,
 ) -> AssignXPartial {
+    let (lo, hi) = (tile.lo(), tile.hi());
     let d = points.cols();
     let mut xsums = vec![vec![0.0; d]; medoids.len()];
     let mut assignment = Vec::with_capacity(hi - lo);
@@ -1428,16 +1132,21 @@ pub fn assign_x_block_columnar(
     AssignXPartial { assignment, xsums }
 }
 
-/// Columnar twin of [`columns_block`].
+/// Per-slot segmental-distance columns over one tile:
+/// `out[s][p − lo] = metric.eval_segmental(points.row(p),
+/// points.row(medoids[s]), &dims[s])`.
+///
+/// Each value is exactly the scalar the assignment kernels compare —
+/// there is no accumulation across rows — so a column computed here and
+/// cached across rounds is bit-identical to recomputing the distance.
 pub fn columns_block_columnar(
     tile: &TileView<'_>,
     points: &Matrix,
     metric: DistanceKind,
     medoids: &[usize],
     dims: &[Vec<usize>],
-    lo: usize,
-    hi: usize,
 ) -> Vec<Vec<f64>> {
+    let (lo, hi) = (tile.lo(), tile.hi());
     medoids
         .iter()
         .zip(dims)
@@ -1449,15 +1158,17 @@ pub fn columns_block_columnar(
         .collect()
 }
 
-/// Columnar twin of [`cluster_x_block`].
+/// Cluster-based `X` partial sums over one tile for a fixed
+/// assignment (`None` entries — outliers — contribute to no cluster).
+/// Used by the refinement phase, where the reference sets are the final
+/// iterative clusters rather than a just-computed assignment.
 pub fn cluster_x_block_columnar(
     tile: &TileView<'_>,
     points: &Matrix,
     medoids: &[usize],
     assignment: &[Option<usize>],
-    lo: usize,
-    hi: usize,
 ) -> Vec<Vec<f64>> {
+    let (lo, hi) = (tile.lo(), tile.hi());
     let d = points.cols();
     let mut xsums = vec![vec![0.0; d]; medoids.len()];
     let mut members: Vec<Vec<usize>> = vec![Vec::new(); medoids.len()];
@@ -1472,8 +1183,8 @@ pub fn cluster_x_block_columnar(
     xsums
 }
 
-/// Columnar twin of `refine_assign_block` for a sub-range, appending to
-/// `out` — the gate-off tail of the pruned refine kernel.
+/// Refinement assignment over tile rows `lo..hi`, appending to `out` —
+/// also the gate-off tail of the pruned refine kernel.
 #[allow(clippy::too_many_arguments)]
 fn refine_assign_range_columnar(
     tile: &TileView<'_>,
@@ -1515,8 +1226,9 @@ fn refine_assign_range_columnar(
     out.extend(inside.iter().zip(&best).map(|(&ins, &b)| ins.then_some(b)));
 }
 
-/// Columnar twin of [`refine_assign_block`].
-#[allow(clippy::too_many_arguments)]
+/// Refinement assignment over one tile: nearest medoid under the
+/// per-medoid dimension sets, `None` when the point lies inside no
+/// medoid's sphere of influence.
 pub fn refine_assign_block_columnar(
     tile: &TileView<'_>,
     points: &Matrix,
@@ -1524,9 +1236,8 @@ pub fn refine_assign_block_columnar(
     medoids: &[usize],
     dims: &[Vec<usize>],
     spheres: &[f64],
-    lo: usize,
-    hi: usize,
 ) -> Vec<Option<usize>> {
+    let (lo, hi) = (tile.lo(), tile.hi());
     let mut out = Vec::with_capacity(hi - lo);
     refine_assign_range_columnar(
         tile, points, metric, medoids, dims, spheres, lo, hi, &mut out,
@@ -1537,6 +1248,7 @@ pub fn refine_assign_block_columnar(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dims::average_dimension_distances;
     use crate::index::NeighborIndex;
     use crate::layout::ColumnarBlocks;
     use crate::locality::{localities, medoid_deltas};
@@ -1547,6 +1259,16 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(seed);
         let data: Vec<f64> = (0..n * d).map(|_| rng.random_range(0.0..100.0)).collect();
         Matrix::from_vec(data, n, d)
+    }
+
+    fn assert_bits(a: &[Vec<f64>], b: &[Vec<f64>], ctx: &str) {
+        assert_eq!(a.len(), b.len(), "{ctx}: shape");
+        for (i, (ra, rb)) in a.iter().zip(b).enumerate() {
+            assert_eq!(ra.len(), rb.len(), "{ctx}: row {i} shape");
+            for (j, (x, y)) in ra.iter().zip(rb).enumerate() {
+                assert_eq!(x.to_bits(), y.to_bits(), "{ctx}: [{i}][{j}] {x:e} vs {y:e}");
+            }
+        }
     }
 
     #[test]
@@ -1567,102 +1289,76 @@ mod tests {
     }
 
     #[test]
-    fn fused_localities_match_legacy_exactly() {
+    fn fused_localities_and_x_match_the_references_exactly() {
         for metric in [
             DistanceKind::Manhattan,
             DistanceKind::Euclidean,
             DistanceKind::Chebyshev,
         ] {
-            let points = random_points(700, 6, 11);
-            let medoids = vec![3usize, 99, 402];
+            let points = random_points(2_300, 6, 11);
+            let cb = ColumnarBlocks::build(&points, false);
+            let medoids = vec![3usize, 99, 1_402];
             let deltas = medoid_deltas(&points, &medoids, metric);
             let legacy = localities(&points, &medoids, &deltas, metric);
-            let partials: Vec<FusedPartial> = blocks(points.rows())
-                .into_iter()
-                .map(|(lo, hi)| fused_block(&points, metric, &medoids, &deltas, lo, hi))
+            let partials: Vec<FusedPartial> = cb
+                .tiles()
+                .map(|t| fused_block_columnar(&t, &points, metric, &medoids, &deltas))
                 .collect();
-            let (locs, _) = merge_fused(partials, &medoids, points.cols());
+            let (locs, x) = merge_fused(partials, &medoids, points.cols());
             assert_eq!(locs, legacy, "{metric:?}");
-        }
-    }
-
-    #[test]
-    fn fused_x_matches_direct_blocked_sum() {
-        // The X averages must equal the blocked accumulation over the
-        // merged localities (the canonical order), independent of how
-        // rows are grouped into fused calls.
-        let points = random_points(300, 4, 5);
-        let medoids = vec![0usize, 150];
-        let metric = DistanceKind::Manhattan;
-        let deltas = medoid_deltas(&points, &medoids, metric);
-        let one_block = fused_block(&points, metric, &medoids, &deltas, 0, 300);
-        let (locs_a, x_a) = merge_fused(vec![one_block], &medoids, 4);
-        let partials: Vec<FusedPartial> = [(0, 77), (77, 200), (200, 300)]
-            .into_iter()
-            .map(|(lo, hi)| fused_block(&points, metric, &medoids, &deltas, lo, hi))
-            .collect();
-        let (locs_b, x_b) = merge_fused(partials, &medoids, 4);
-        assert_eq!(locs_a, locs_b);
-        // Note: different groupings may differ in the last ulp of the
-        // sums; the canonical tiling is fixed, so production paths never
-        // regroup. Here the values should still be essentially equal.
-        for (ra, rb) in x_a.iter().zip(&x_b) {
-            for (a, b) in ra.iter().zip(rb) {
-                assert!((a - b).abs() <= 1e-12 * a.abs().max(1.0));
-            }
+            let reference = average_dimension_distances(&points, &medoids, &legacy);
+            assert_bits(&x, &reference, &format!("{metric:?}: locality X"));
         }
     }
 
     #[test]
     fn assign_block_matches_assign_points() {
-        let points = random_points(500, 5, 9);
-        let medoids = vec![0usize, 100, 300];
+        let points = random_points(1_500, 5, 9);
+        let cb = ColumnarBlocks::build(&points, false);
+        let medoids = vec![0usize, 100, 1_300];
         let dims = vec![vec![0, 1], vec![2, 3], vec![1, 4]];
         let metric = DistanceKind::Manhattan;
         let legacy = crate::assign::assign_points(&points, &medoids, &dims, metric);
-        let flat: Vec<usize> = blocks(points.rows())
-            .into_iter()
-            .flat_map(|(lo, hi)| assign_block(&points, metric, &medoids, &dims, lo, hi))
+        let flat: Vec<usize> = cb
+            .tiles()
+            .flat_map(|t| assign_block_columnar(&t, &points, metric, &medoids, &dims, None))
             .collect();
         assert_eq!(flat, legacy);
     }
 
     #[test]
-    fn assign_x_assignment_matches_plain_assign() {
-        let points = random_points(400, 5, 13);
-        let medoids = vec![7usize, 200];
+    fn assign_x_matches_plain_assign_and_cluster_x_reference() {
+        let points = random_points(1_400, 5, 13);
+        let cb = ColumnarBlocks::build(&points, false);
+        let medoids = vec![7usize, 1_200];
         let dims = vec![vec![0, 2], vec![1, 3]];
         let metric = DistanceKind::Manhattan;
-        let partials: Vec<AssignXPartial> = blocks(points.rows())
-            .into_iter()
-            .map(|(lo, hi)| assign_x_block(&points, metric, &medoids, &dims, lo, hi))
+        let partials: Vec<AssignXPartial> = cb
+            .tiles()
+            .map(|t| assign_x_block_columnar(&t, &points, metric, &medoids, &dims, None))
             .collect();
         let (flat, x) = merge_assign_x(partials, 2, 5);
         assert_eq!(
             flat,
             crate::assign::assign_points(&points, &medoids, &dims, metric)
         );
-        // X must equal the cluster-based average_dimension_distances up
-        // to accumulation-order rounding.
         let opt: Vec<Option<usize>> = flat.iter().map(|&a| Some(a)).collect();
         let clusters = crate::assign::group_members(&opt, 2);
-        let legacy = crate::dims::average_dimension_distances(&points, &medoids, &clusters);
-        for (ra, rb) in x.iter().zip(&legacy) {
-            for (a, b) in ra.iter().zip(rb) {
-                assert!((a - b).abs() <= 1e-9 * a.abs().max(1.0), "{a} vs {b}");
-            }
-        }
+        let reference = average_dimension_distances(&points, &medoids, &clusters);
+        assert_bits(&x, &reference, "assign+X");
     }
 
     #[test]
     fn refine_assign_block_marks_outliers() {
         let rows: Vec<[f64; 2]> = vec![[0.0, 0.0], [10.0, 10.0], [500.0, 500.0]];
         let points = Matrix::from_rows(&rows, 2);
+        let cb = ColumnarBlocks::build(&points, false);
         let medoids = vec![0usize, 1];
         let dims = vec![vec![0, 1], vec![0, 1]];
         let metric = DistanceKind::Manhattan;
         let spheres = crate::refine::spheres_of_influence(&points, &medoids, &dims, metric);
-        let out = refine_assign_block(&points, metric, &medoids, &dims, &spheres, 0, 3);
+        let out =
+            refine_assign_block_columnar(&cb.tile(0), &points, metric, &medoids, &dims, &spheres);
         assert_eq!(out, vec![Some(0), Some(1), None]);
     }
 
@@ -1673,21 +1369,19 @@ mod tests {
             DistanceKind::Euclidean,
             DistanceKind::Chebyshev,
         ] {
-            let points = random_points(600, 5, 23);
-            let medoids = vec![2usize, 170, 444];
+            let points = random_points(1_600, 5, 23);
+            let cb = ColumnarBlocks::build(&points, false);
+            let medoids = vec![2usize, 170, 1_444];
             let dims = vec![vec![0, 1], vec![2, 3], vec![1, 4]];
-            let cols: Vec<Vec<f64>> = blocks(points.rows()).into_iter().fold(
-                vec![Vec::new(); medoids.len()],
-                |mut acc, (lo, hi)| {
-                    for (full, part) in acc
-                        .iter_mut()
-                        .zip(columns_block(&points, metric, &medoids, &dims, lo, hi))
-                    {
-                        full.extend(part);
-                    }
-                    acc
-                },
-            );
+            let cols: Vec<Vec<f64>> =
+                cb.tiles()
+                    .fold(vec![Vec::new(); medoids.len()], |mut acc, t| {
+                        let part = columns_block_columnar(&t, &points, metric, &medoids, &dims);
+                        for (full, part) in acc.iter_mut().zip(part) {
+                            full.extend(part);
+                        }
+                        acc
+                    });
             for (s, (&m, di)) in medoids.iter().zip(&dims).enumerate() {
                 for (p, &got) in cols[s].iter().enumerate() {
                     let direct = metric.eval_segmental(points.row(p), points.row(m), di);
@@ -1718,10 +1412,17 @@ mod tests {
     fn merge_fused_empty_locality_falls_back_to_medoid_singleton() {
         let rows: Vec<[f64; 2]> = vec![[0.0, 0.0], [f64::NAN, 1.0], [2.0, 2.0]];
         let points = Matrix::from_rows(&rows, 2);
+        let cb = ColumnarBlocks::build(&points, false);
         let medoids = vec![0usize, 1];
         let metric = DistanceKind::Manhattan;
         let deltas = crate::locality::medoid_deltas(&points, &medoids, metric);
-        let partials = vec![fused_block(&points, metric, &medoids, &deltas, 0, 3)];
+        let partials = vec![fused_block_columnar(
+            &cb.tile(0),
+            &points,
+            metric,
+            &medoids,
+            &deltas,
+        )];
         let (locs, x) = merge_fused(partials, &medoids, 2);
         assert_eq!(locs[1], vec![1], "empty locality becomes {{medoid}}");
         assert_eq!(x[1], vec![0.0, 0.0], "fallback X row is pinned to zero");
@@ -1732,14 +1433,15 @@ mod tests {
     fn cluster_x_skips_outliers() {
         let rows: Vec<[f64; 2]> = vec![[0.0, 0.0], [1.0, 3.0], [900.0, 900.0]];
         let points = Matrix::from_rows(&rows, 2);
+        let cb = ColumnarBlocks::build(&points, false);
         let assignment = vec![Some(0), Some(0), None];
-        let partial = cluster_x_block(&points, &[0], &assignment, 0, 3);
+        let partial = cluster_x_block_columnar(&cb.tile(0), &points, &[0], &assignment);
         let x = merge_cluster_x(vec![partial], &[2], 2);
         // Members {0, 1}: mean |diff| = (0 + 1)/2 and (0 + 3)/2.
         assert_eq!(x, vec![vec![0.5, 1.5]]);
     }
 
-    /// The pruned fused kernel must be **bit-identical** to the plain
+    /// The pruned fused kernel must be **bit-identical** to the columnar
     /// one — members, order, and X sums — across all metrics, and
     /// actually prune something on clustered data.
     #[test]
@@ -1751,22 +1453,23 @@ mod tests {
         ] {
             for seed in [11u64, 29] {
                 let points = random_points(900, 7, seed);
+                let cb = ColumnarBlocks::build(&points, false);
                 let medoids = vec![3usize, 99, 402, 777];
                 let deltas = medoid_deltas(&points, &medoids, metric);
                 let index = std::sync::Arc::new(NeighborIndex::build(&points, metric));
                 let ctx = FusedPruneCtx::new(index, &points, &medoids, metric);
                 let mut stats = PruneStats::default();
-                for (lo, hi) in blocks(points.rows()) {
-                    let plain = fused_block(&points, metric, &medoids, &deltas, lo, hi);
+                for t in cb.tiles() {
+                    let plain = fused_block_columnar(&t, &points, metric, &medoids, &deltas);
                     let pruned = fused_block_pruned(
-                        &points, metric, &medoids, &deltas, &ctx, lo, hi, &mut stats, None,
+                        &t, &points, metric, &medoids, &deltas, &ctx, &mut stats,
                     );
                     assert_eq!(plain.locs, pruned.locs, "{metric:?} seed {seed}");
-                    for (a, b) in plain.xsums.iter().zip(&pruned.xsums) {
-                        let ab: Vec<u64> = a.iter().map(|v| v.to_bits()).collect();
-                        let bb: Vec<u64> = b.iter().map(|v| v.to_bits()).collect();
-                        assert_eq!(ab, bb, "{metric:?} seed {seed}: X bits moved");
-                    }
+                    assert_bits(
+                        &plain.xsums,
+                        &pruned.xsums,
+                        &format!("{metric:?} seed {seed}: X"),
+                    );
                 }
                 assert!(
                     stats.range_sketch_pruned + stats.range_triangle_pruned > 0,
@@ -1776,8 +1479,8 @@ mod tests {
         }
     }
 
-    /// The pruned assignment kernels must reproduce the plain winners
-    /// (and X sums, and outlier flags) bit for bit.
+    /// The pruned assignment kernels must reproduce the columnar
+    /// winners (and X sums, and outlier flags) bit for bit.
     #[test]
     fn pruned_assignment_kernels_are_bit_identical_to_plain() {
         for metric in [
@@ -1789,6 +1492,7 @@ mod tests {
             // bounded path to engage at all; a couple of small sets
             // exercise the mixed small/large case.
             let points = random_points(800, 12, 31);
+            let cb = ColumnarBlocks::build(&points, false);
             let medoids = vec![2usize, 170, 444, 650];
             let dims = vec![
                 (0..10).collect::<Vec<_>>(),
@@ -1798,28 +1502,25 @@ mod tests {
             ];
             let spheres = crate::refine::spheres_of_influence(&points, &medoids, &dims, metric);
             let mut stats = PruneStats::default();
-            for (lo, hi) in blocks(points.rows()) {
+            for t in cb.tiles() {
                 assert_eq!(
-                    assign_block(&points, metric, &medoids, &dims, lo, hi),
-                    assign_block_pruned(
-                        &points, metric, &medoids, &dims, lo, hi, &mut stats, None, None
-                    ),
+                    assign_block_columnar(&t, &points, metric, &medoids, &dims, None),
+                    assign_block_pruned(&t, &points, metric, &medoids, &dims, &mut stats, None),
                     "{metric:?} assign"
                 );
-                let plain = assign_x_block(&points, metric, &medoids, &dims, lo, hi);
-                let pruned = assign_x_block_pruned(
-                    &points, metric, &medoids, &dims, lo, hi, &mut stats, None, None,
-                );
+                let plain = assign_x_block_columnar(&t, &points, metric, &medoids, &dims, None);
+                let pruned =
+                    assign_x_block_pruned(&t, &points, metric, &medoids, &dims, &mut stats, None);
                 assert_eq!(plain.assignment, pruned.assignment, "{metric:?} assign_x");
-                for (a, b) in plain.xsums.iter().zip(&pruned.xsums) {
-                    let ab: Vec<u64> = a.iter().map(|v| v.to_bits()).collect();
-                    let bb: Vec<u64> = b.iter().map(|v| v.to_bits()).collect();
-                    assert_eq!(ab, bb, "{metric:?} assign_x X bits moved");
-                }
+                assert_bits(
+                    &plain.xsums,
+                    &pruned.xsums,
+                    &format!("{metric:?} assign_x X"),
+                );
                 assert_eq!(
-                    refine_assign_block(&points, metric, &medoids, &dims, &spheres, lo, hi),
+                    refine_assign_block_columnar(&t, &points, metric, &medoids, &dims, &spheres),
                     refine_assign_block_pruned(
-                        &points, metric, &medoids, &dims, &spheres, lo, hi, &mut stats, None
+                        &t, &points, metric, &medoids, &dims, &spheres, &mut stats
                     ),
                     "{metric:?} refine"
                 );
@@ -1834,21 +1535,21 @@ mod tests {
     fn pruned_kernels_preserve_nan_semantics() {
         let rows: Vec<[f64; 2]> = vec![[0.0, 0.0], [f64::NAN, 1.0], [2.0, 2.0], [50.0, 50.0]];
         let points = Matrix::from_rows(&rows, 2);
+        let cb = ColumnarBlocks::build(&points, false);
+        let t = cb.tile(0);
         let medoids = vec![1usize, 3];
         let dims = vec![vec![0, 1], vec![0, 1]];
         let metric = DistanceKind::Manhattan;
         let mut stats = PruneStats::default();
         assert_eq!(
-            assign_block(&points, metric, &medoids, &dims, 0, 4),
-            assign_block_pruned(&points, metric, &medoids, &dims, 0, 4, &mut stats, None, None),
+            crate::assign::assign_points(&points, &medoids, &dims, metric),
+            assign_block_pruned(&t, &points, metric, &medoids, &dims, &mut stats, None),
         );
         let deltas = medoid_deltas(&points, &medoids, metric);
         let index = std::sync::Arc::new(NeighborIndex::build(&points, metric));
         let ctx = FusedPruneCtx::new(index, &points, &medoids, metric);
-        let plain = fused_block(&points, metric, &medoids, &deltas, 0, 4);
-        let pruned = fused_block_pruned(
-            &points, metric, &medoids, &deltas, &ctx, 0, 4, &mut stats, None,
-        );
+        let plain = fused_block_columnar(&t, &points, metric, &medoids, &deltas);
+        let pruned = fused_block_pruned(&t, &points, metric, &medoids, &deltas, &ctx, &mut stats);
         assert_eq!(plain, pruned);
     }
 
@@ -1882,80 +1583,8 @@ mod tests {
         ]
     }
 
-    fn assert_bits(a: &[Vec<f64>], b: &[Vec<f64>], ctx: &str) {
-        assert_eq!(a.len(), b.len(), "{ctx}: shape");
-        for (i, (ra, rb)) in a.iter().zip(b).enumerate() {
-            assert_eq!(ra.len(), rb.len(), "{ctx}: row {i} shape");
-            for (j, (x, y)) in ra.iter().zip(rb).enumerate() {
-                assert_eq!(x.to_bits(), y.to_bits(), "{ctx}: [{i}][{j}] {x:e} vs {y:e}");
-            }
-        }
-    }
-
-    /// Every columnar twin must be bit-identical to its row-major
-    /// original — localities, X sums, assignments, distance columns,
-    /// refine outcomes — across all three metrics on tie-heavy,
-    /// duplicate-row, and mixed-magnitude matrices.
-    #[test]
-    fn columnar_kernels_are_bit_identical_to_row_major() {
-        for (name, points) in tricky_matrices() {
-            let cb = ColumnarBlocks::build(&points, false);
-            let medoids = vec![3usize, 700, 1_200];
-            let dims = vec![vec![0, 1, 2], vec![1, 3], vec![0, 4, 5]];
-            for metric in [
-                DistanceKind::Manhattan,
-                DistanceKind::Euclidean,
-                DistanceKind::Chebyshev,
-            ] {
-                let deltas = medoid_deltas(&points, &medoids, metric);
-                let spheres: Vec<f64> = deltas.iter().map(|d| d * 0.8).collect();
-                let refined: Vec<Option<usize>> = blocks(points.rows())
-                    .into_iter()
-                    .flat_map(|(lo, hi)| {
-                        refine_assign_block(&points, metric, &medoids, &dims, &spheres, lo, hi)
-                    })
-                    .collect();
-                for (lo, hi) in blocks(points.rows()) {
-                    let ctx = format!("{name}/{metric:?}/[{lo},{hi})");
-                    let t = cb.tile(lo, hi).unwrap();
-                    let fa = fused_block(&points, metric, &medoids, &deltas, lo, hi);
-                    let fb = fused_block_columnar(&t, &points, metric, &medoids, &deltas, lo, hi);
-                    assert_eq!(fa.locs, fb.locs, "{ctx}: fused locs");
-                    assert_bits(&fa.xsums, &fb.xsums, &format!("{ctx}: fused X"));
-                    assert_eq!(
-                        assign_block(&points, metric, &medoids, &dims, lo, hi),
-                        assign_block_columnar(&t, &points, metric, &medoids, &dims, lo, hi, None),
-                        "{ctx}: assign"
-                    );
-                    let xa = assign_x_block(&points, metric, &medoids, &dims, lo, hi);
-                    let xb =
-                        assign_x_block_columnar(&t, &points, metric, &medoids, &dims, lo, hi, None);
-                    assert_eq!(xa.assignment, xb.assignment, "{ctx}: assign+X winners");
-                    assert_bits(&xa.xsums, &xb.xsums, &format!("{ctx}: assign+X sums"));
-                    assert_bits(
-                        &columns_block(&points, metric, &medoids, &dims, lo, hi),
-                        &columns_block_columnar(&t, &points, metric, &medoids, &dims, lo, hi),
-                        &format!("{ctx}: columns"),
-                    );
-                    assert_eq!(
-                        refine_assign_block(&points, metric, &medoids, &dims, &spheres, lo, hi),
-                        refine_assign_block_columnar(
-                            &t, &points, metric, &medoids, &dims, &spheres, lo, hi,
-                        ),
-                        "{ctx}: refine"
-                    );
-                    assert_bits(
-                        &cluster_x_block(&points, &medoids, &refined, lo, hi),
-                        &cluster_x_block_columnar(&t, &points, &medoids, &refined, lo, hi),
-                        &format!("{ctx}: cluster X"),
-                    );
-                }
-            }
-        }
-    }
-
     /// The `f32` screen must never change a winner: gated assignment
-    /// equals the plain kernels element-wise, the counters balance, and
+    /// equals the exact kernels element-wise, the counters balance, and
     /// the screen actually engages for Manhattan/Chebyshev while
     /// Euclidean falls through to the exact columnar path.
     #[test]
@@ -1970,32 +1599,20 @@ mod tests {
                 DistanceKind::Chebyshev,
             ] {
                 let mut fs = FastMathStats::default();
-                for (lo, hi) in blocks(points.rows()) {
-                    let ctx = format!("{name}/{metric:?}/[{lo},{hi})");
-                    let t = cb.tile(lo, hi).unwrap();
+                for t in cb.tiles() {
+                    let ctx = format!("{name}/{metric:?}/[{},{})", t.lo(), t.hi());
                     assert_eq!(
-                        assign_block(&points, metric, &medoids, &dims, lo, hi),
-                        assign_block_columnar(
-                            &t,
-                            &points,
-                            metric,
-                            &medoids,
-                            &dims,
-                            lo,
-                            hi,
-                            Some(&mut fs),
-                        ),
+                        assign_block_columnar(&t, &points, metric, &medoids, &dims, None),
+                        assign_block_columnar(&t, &points, metric, &medoids, &dims, Some(&mut fs)),
                         "{ctx}: gated assign"
                     );
-                    let xa = assign_x_block(&points, metric, &medoids, &dims, lo, hi);
+                    let xa = assign_x_block_columnar(&t, &points, metric, &medoids, &dims, None);
                     let xb = assign_x_block_columnar(
                         &t,
                         &points,
                         metric,
                         &medoids,
                         &dims,
-                        lo,
-                        hi,
                         Some(&mut fs),
                     );
                     assert_eq!(xa.assignment, xb.assignment, "{ctx}: gated assign+X");
@@ -2016,20 +1633,20 @@ mod tests {
     }
 
     /// NaN rows fall through the `f32` screen to the exact path and
-    /// keep the plain kernels' NaN semantics.
+    /// keep the scalar reference's NaN semantics.
     #[test]
     fn fast_gate_preserves_nan_semantics() {
         let rows: Vec<[f64; 2]> = vec![[0.0, 0.0], [f64::NAN, 1.0], [2.0, 2.0], [50.0, 50.0]];
         let points = Matrix::from_rows(&rows, 2);
         let cb = ColumnarBlocks::build(&points, true);
-        let t = cb.tile(0, 4).unwrap();
+        let t = cb.tile(0);
         let medoids = vec![1usize, 3];
         let dims = vec![vec![0, 1], vec![0, 1]];
         for metric in [DistanceKind::Manhattan, DistanceKind::Chebyshev] {
             let mut fs = FastMathStats::default();
             assert_eq!(
-                assign_block(&points, metric, &medoids, &dims, 0, 4),
-                assign_block_columnar(&t, &points, metric, &medoids, &dims, 0, 4, Some(&mut fs),),
+                crate::assign::assign_points(&points, &medoids, &dims, metric),
+                assign_block_columnar(&t, &points, metric, &medoids, &dims, Some(&mut fs)),
                 "{metric:?}"
             );
         }

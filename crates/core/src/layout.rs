@@ -8,12 +8,12 @@
 //! bit-identical determinism contract.
 //!
 //! [`ColumnarBlocks`] stores the same values dimension-major *within
-//! each fixed [`BLOCK`]-row tile*: `tile[j·w + (p − lo)]` for a tile of
-//! width `w = hi − lo`. A kernel that loops dimensions outermost and
+//! each fixed [`crate::kernel::BLOCK`]-row tile*: `tile[j·w + (p − lo)]`
+//! for a tile of width `w = hi − lo`. A kernel that loops dimensions outermost and
 //! points innermost then updates `w` independent accumulators per
 //! iteration — a trivially vectorizable form — while every individual
 //! accumulator still receives exactly the same additions in exactly the
-//! same (dimension-ascending) order as the row-major kernel. The tile
+//! same (dimension-ascending) order as a per-point scalar loop. The tile
 //! width (≤ 1024 rows × 8 bytes = 8 KiB per dimension column) keeps the
 //! working set of a few columns plus accumulators L1/L2-resident.
 //!
@@ -23,7 +23,7 @@
 //! opt-in prefilter in [`crate::kernel`] — see
 //! [`FAST_MATH_TOLERANCE_SCALE`] for the error model.
 
-use crate::kernel::{blocks, BLOCK};
+use crate::kernel::blocks;
 use proclus_math::Matrix;
 
 /// Scale of the `f32` prefilter tolerance: the conservative error bound
@@ -145,18 +145,33 @@ impl ColumnarBlocks {
         !self.mags.is_empty()
     }
 
-    /// View of the tile containing rows `lo..hi`. `lo..hi` must lie
-    /// within one canonical [`BLOCK`] tile (the pool only dispatches
-    /// such ranges); out-of-range requests return `None`.
-    pub fn tile(&self, lo: usize, hi: usize) -> Option<TileView<'_>> {
-        let t = self.tiles.get(lo / BLOCK)?;
-        if lo < t.lo || hi > t.hi {
-            return None;
-        }
-        Some(TileView {
+    /// Number of tiles: one per canonical [`blocks`] range.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.tiles.len()
+    }
+
+    /// Whether the mirrored matrix has no rows (and so no tiles).
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.tiles.is_empty()
+    }
+
+    /// View of tile `i`, covering the `i`-th canonical [`blocks`] range
+    /// (rows `i·BLOCK ..`); `i` must be below [`Self::len`].
+    pub fn tile(&self, i: usize) -> TileView<'_> {
+        TileView {
             layout: self,
-            tile: t,
-        })
+            tile: &self.tiles[i],
+        }
+    }
+
+    /// Every tile in ascending row order — exactly the block ranges a
+    /// pool pass dispatches.
+    pub fn tiles(&self) -> impl ExactSizeIterator<Item = TileView<'_>> {
+        self.tiles
+            .iter()
+            .map(move |tile| TileView { layout: self, tile })
     }
 }
 
@@ -234,8 +249,8 @@ mod tests {
         let m = sample(2_500, 7);
         let cb = ColumnarBlocks::build(&m, false);
         assert_eq!(cb.dims(), 7);
-        for (lo, hi) in blocks(m.rows()) {
-            let t = cb.tile(lo, hi).unwrap();
+        assert_eq!(cb.len(), blocks(m.rows()).len());
+        for (t, (lo, hi)) in cb.tiles().zip(blocks(m.rows())) {
             assert_eq!((t.lo(), t.hi()), (lo, hi));
             for j in 0..7 {
                 let col = t.col(j, lo, hi);
@@ -252,7 +267,7 @@ mod tests {
     fn sub_ranges_map_to_column_sub_slices() {
         let m = sample(1_500, 3);
         let cb = ColumnarBlocks::build(&m, false);
-        let t = cb.tile(0, 1024).unwrap();
+        let t = cb.tile(0);
         let full = t.col(2, 0, 1024);
         let part = t.col(2, 100, 900);
         assert_eq!(part, &full[100..900]);
@@ -262,8 +277,9 @@ mod tests {
     fn fast_mirror_carries_f32_values_and_magnitudes() {
         let m = sample(1_100, 4);
         let cb = ColumnarBlocks::build(&m, true);
-        let (lo, hi) = (1_024, 1_100);
-        let t = cb.tile(lo, hi).unwrap();
+        let t = cb.tile(1);
+        let (lo, hi) = (t.lo(), t.hi());
+        assert_eq!((lo, hi), (1_024, 1_100));
         assert!(t.has_fast());
         let c32 = t.col32(3, lo, hi).unwrap();
         for p in lo..hi {
@@ -274,11 +290,9 @@ mod tests {
     }
 
     #[test]
-    fn out_of_tile_requests_are_none() {
-        let m = sample(100, 2);
-        let cb = ColumnarBlocks::build(&m, false);
-        assert!(cb.tile(0, 100).is_some());
-        assert!(cb.tile(0, 101).is_none());
-        assert!(cb.tile(1024, 1025).is_none());
+    fn empty_matrix_has_no_tiles() {
+        let cb = ColumnarBlocks::build(&sample(0, 2), false);
+        assert!(cb.is_empty());
+        assert_eq!(cb.tiles().len(), 0);
     }
 }

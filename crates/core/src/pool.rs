@@ -12,22 +12,24 @@
 //! * Workers live inside a [`std::thread::scope`] spanning the whole
 //!   fit, so they can borrow the point matrix directly — no `unsafe`,
 //!   no copying the data (the crate forbids unsafe code).
-//! * Work is distributed as fixed-size row blocks
-//!   ([`crate::kernel::BLOCK`]); a shared queue lets fast workers steal
-//!   the remaining blocks, so an unlucky scheduling of one block never
-//!   idles the rest of the pool.
+//! * Work is distributed as the fixed-size row blocks
+//!   ([`crate::kernel::BLOCK`]) of the per-fit columnar mirror
+//!   ([`ColumnarBlocks`]): a job names a tile, so every block runs the
+//!   columnar kernel on its own tile by construction. A shared queue
+//!   lets fast workers steal the remaining blocks, so an unlucky
+//!   scheduling of one block never idles the rest of the pool.
 //! * Every block result is tagged with its block index and merged on
 //!   the coordinating thread in ascending index order. Together with
 //!   the fixed tiling this makes the result **bit-identical for every
 //!   thread count** — see [`crate::kernel`] for the argument.
 //! * `threads <= 1` (or a dataset smaller than one block) skips the
 //!   workers entirely; the serial path runs the *same* block kernels in
-//!   the same order, so it is the reference the pooled path is compared
-//!   against in the property tests.
+//!   the same order. Both are compared bit for bit against the scalar
+//!   references in `tests/columnar.rs`.
 
 use crate::index::{FusedPruneCtx, NeighborIndex, PruneStats};
 use crate::kernel::{self, AssignXPartial, FusedPartial};
-use crate::layout::{ColumnarBlocks, FastMathStats};
+use crate::layout::{ColumnarBlocks, FastMathStats, TileView};
 use proclus_math::{DistanceKind, Matrix};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{mpsc, Arc, Mutex};
@@ -38,9 +40,9 @@ use std::sync::{mpsc, Arc, Mutex};
 ///
 /// The fused task optionally carries a shared [`FusedPruneCtx`], and
 /// the assignment-style tasks a `pruned` flag; either engages the
-/// pruned kernel twin ([`crate::kernel`]), which is bit-identical to
-/// the plain kernel, so the choice never reaches the results — only
-/// the [`PruneStats`] riding back with each partial.
+/// pruned kernel ([`crate::kernel`]), which is bit-identical to the
+/// columnar kernel, so the choice never reaches the results — only the
+/// [`PruneStats`] riding back with each partial.
 enum Task {
     Fused {
         medoids: Arc<Vec<usize>>,
@@ -73,10 +75,9 @@ enum Task {
     },
 }
 
-/// One unit of work: a task applied to a row block.
+/// One unit of work: a task applied to the tile with index `index`.
 struct Job {
     task: Task,
-    block: (usize, usize),
     index: usize,
 }
 
@@ -90,112 +91,62 @@ enum Partial {
     RefineAssign(Vec<Option<usize>>),
 }
 
+/// What one block sends back: its partial plus the block's counters.
+type BlockResult = (Partial, PruneStats, FastMathStats);
+
 impl Task {
-    /// Run the task over one row block. The returned [`PruneStats`] are
-    /// this block's index-pruning counters (zero for unpruned tasks) —
+    /// Run the task over one tile. The returned [`PruneStats`] are this
+    /// block's index-pruning counters (zero for unpruned tasks) —
     /// per-pair decisions depend only on the pair, so the totals are
     /// scheduling-independent even though they ride back with partials.
     fn run(
         &self,
+        tile: &TileView<'_>,
         points: &Matrix,
         metric: DistanceKind,
-        layout: Option<&ColumnarBlocks>,
         fast_math: bool,
-        lo: usize,
-        hi: usize,
-    ) -> (Partial, PruneStats, FastMathStats) {
+    ) -> BlockResult {
         let mut prune = PruneStats::default();
         let mut fstats = FastMathStats::default();
-        // The canonical block ranges always lie within one tile, so a
-        // missing tile only happens without a layout — every arm below
-        // falls back to the row-major kernel in that case.
-        let tile = layout.and_then(|l| l.tile(lo, hi));
-        let tile = tile.as_ref();
+        let fast = fast_math.then_some(&mut fstats);
         let partial = match self {
             Task::Fused {
                 medoids,
                 deltas,
                 ctx,
-            } => Partial::Fused(match (ctx, tile) {
-                (Some(ctx), _) => kernel::fused_block_pruned(
-                    points, metric, medoids, deltas, ctx, lo, hi, &mut prune, tile,
+            } => Partial::Fused(match ctx {
+                Some(ctx) => kernel::fused_block_pruned(
+                    tile, points, metric, medoids, deltas, ctx, &mut prune,
                 ),
-                (None, Some(t)) => {
-                    kernel::fused_block_columnar(t, points, metric, medoids, deltas, lo, hi)
-                }
-                (None, None) => kernel::fused_block(points, metric, medoids, deltas, lo, hi),
+                None => kernel::fused_block_columnar(tile, points, metric, medoids, deltas),
             }),
             Task::Assign {
                 medoids,
                 dims,
                 pruned,
             } => Partial::Assign(if *pruned {
-                kernel::assign_block_pruned(
-                    points,
-                    metric,
-                    medoids,
-                    dims,
-                    lo,
-                    hi,
-                    &mut prune,
-                    tile,
-                    fast_math.then_some(&mut fstats),
-                )
-            } else if let Some(t) = tile {
-                kernel::assign_block_columnar(
-                    t,
-                    points,
-                    metric,
-                    medoids,
-                    dims,
-                    lo,
-                    hi,
-                    fast_math.then_some(&mut fstats),
-                )
+                kernel::assign_block_pruned(tile, points, metric, medoids, dims, &mut prune, fast)
             } else {
-                kernel::assign_block(points, metric, medoids, dims, lo, hi)
+                kernel::assign_block_columnar(tile, points, metric, medoids, dims, fast)
             }),
             Task::AssignX {
                 medoids,
                 dims,
                 pruned,
             } => Partial::AssignX(if *pruned {
-                kernel::assign_x_block_pruned(
-                    points,
-                    metric,
-                    medoids,
-                    dims,
-                    lo,
-                    hi,
-                    &mut prune,
-                    tile,
-                    fast_math.then_some(&mut fstats),
-                )
-            } else if let Some(t) = tile {
-                kernel::assign_x_block_columnar(
-                    t,
-                    points,
-                    metric,
-                    medoids,
-                    dims,
-                    lo,
-                    hi,
-                    fast_math.then_some(&mut fstats),
-                )
+                kernel::assign_x_block_pruned(tile, points, metric, medoids, dims, &mut prune, fast)
             } else {
-                kernel::assign_x_block(points, metric, medoids, dims, lo, hi)
+                kernel::assign_x_block_columnar(tile, points, metric, medoids, dims, fast)
             }),
-            Task::Columns { medoids, dims } => Partial::Columns(match tile {
-                Some(t) => kernel::columns_block_columnar(t, points, metric, medoids, dims, lo, hi),
-                None => kernel::columns_block(points, metric, medoids, dims, lo, hi),
-            }),
+            Task::Columns { medoids, dims } => Partial::Columns(kernel::columns_block_columnar(
+                tile, points, metric, medoids, dims,
+            )),
             Task::ClusterX {
                 medoids,
                 assignment,
-            } => Partial::ClusterX(match tile {
-                Some(t) => kernel::cluster_x_block_columnar(t, points, medoids, assignment, lo, hi),
-                None => kernel::cluster_x_block(points, medoids, assignment, lo, hi),
-            }),
+            } => Partial::ClusterX(kernel::cluster_x_block_columnar(
+                tile, points, medoids, assignment,
+            )),
             Task::RefineAssign {
                 medoids,
                 dims,
@@ -203,14 +154,10 @@ impl Task {
                 pruned,
             } => Partial::RefineAssign(if *pruned {
                 kernel::refine_assign_block_pruned(
-                    points, metric, medoids, dims, spheres, lo, hi, &mut prune, tile,
-                )
-            } else if let Some(t) = tile {
-                kernel::refine_assign_block_columnar(
-                    t, points, metric, medoids, dims, spheres, lo, hi,
+                    tile, points, metric, medoids, dims, spheres, &mut prune,
                 )
             } else {
-                kernel::refine_assign_block(points, metric, medoids, dims, spheres, lo, hi)
+                kernel::refine_assign_block_columnar(tile, points, metric, medoids, dims, spheres)
             }),
         };
         (partial, prune, fstats)
@@ -277,33 +224,8 @@ enum Mode {
     /// Persistent workers consuming from a shared job queue.
     Pooled {
         job_tx: Sender<Job>,
-        result_rx: Receiver<(usize, Partial, PruneStats, FastMathStats)>,
+        result_rx: Receiver<(usize, BlockResult)>,
     },
-}
-
-/// Configuration for [`with_pool_opts`].
-#[derive(Clone, Copy, Debug)]
-pub struct PoolOptions {
-    /// Build the dimension-major [`ColumnarBlocks`] mirror and run
-    /// every pass through the columnar kernel twins (bit-identical to
-    /// the row-major kernels; on by default). Off is the row-major
-    /// baseline the benches and the cross-path property tests compare
-    /// against.
-    pub columnar: bool,
-    /// Also build the `f32` mirror and engage the exactness-gated
-    /// prefilter in assignment passes (off by default; requires
-    /// `columnar`). Results are bit-identical either way — only the
-    /// `fastmath.*` counters and the work saved change.
-    pub fast_math: bool,
-}
-
-impl Default for PoolOptions {
-    fn default() -> Self {
-        Self {
-            columnar: true,
-            fast_math: false,
-        }
-    }
 }
 
 /// Work counters maintained by the pool.
@@ -351,86 +273,71 @@ pub struct Pool<'env> {
     physical: PoolStats,
     round_mark: PoolStats,
     queue_high_water: u64,
-    /// The per-fit neighbor index; `Some` engages the pruned kernel
-    /// twins in every fused/assign/refine pass.
+    /// The per-fit neighbor index; `Some` engages the pruned kernels in
+    /// every fused/assign/refine pass.
     index: Option<Arc<NeighborIndex>>,
     /// Cumulative pruning counters across all passes (manifest-only —
     /// see [`crate::index::PruneStats`]).
     prune: PruneStats,
-    /// The columnar mirror shared with the workers; `Some` routes every
-    /// pass through the columnar kernel twins.
-    layout: Option<Arc<ColumnarBlocks>>,
+    /// The columnar mirror shared with the workers: one tile per
+    /// dispatched block.
+    layout: Arc<ColumnarBlocks>,
     /// Whether assignment passes engage the `f32` exactness-gated
-    /// screen (requires `layout` with a fast mirror).
+    /// screen (the layout then carries the `f32` mirror).
     fast_math: bool,
     /// Cumulative fast-path counters across all passes (manifest-only).
     fstats: FastMathStats,
-    /// Row blocks dispatched with / without the columnar layout
-    /// (manifest-only `layout.*` counters).
-    columnar_blocks: u64,
-    rowmajor_blocks: u64,
 }
 
-/// Run `f` with a [`Pool`] over `points`. With `threads > 1` (and at
-/// least two blocks of data) the workers are spawned once, live for the
-/// whole call, and are joined before this function returns; otherwise
-/// `f` gets a serial pool and no threads are ever created.
+/// Run `f` with a [`Pool`] over `points`. The columnar mirror is built
+/// once here (one pass over the matrix, plus the `f32` mirror under
+/// `fast_math`) and shared read-only with every worker. With
+/// `threads > 1` (and at least two blocks of data) the workers are
+/// spawned once, live for the whole call, and are joined before this
+/// function returns; otherwise `f` gets a serial pool and no threads
+/// are ever created.
+///
+/// `fast_math` engages the `f32` exactness-gated screen in assignment
+/// passes. Results are bit-identical either way — only the
+/// `fastmath.*` counters and the work saved change.
 pub fn with_pool<R>(
     points: &Matrix,
     metric: DistanceKind,
     threads: usize,
+    fast_math: bool,
     f: impl FnOnce(&mut Pool<'_>) -> R,
 ) -> R {
-    with_pool_opts(points, metric, threads, PoolOptions::default(), f)
-}
-
-/// [`with_pool`] with explicit layout/fast-math configuration. The
-/// columnar mirror is built once here (one pass over the matrix) and
-/// shared read-only with every worker.
-pub fn with_pool_opts<R>(
-    points: &Matrix,
-    metric: DistanceKind,
-    threads: usize,
-    opts: PoolOptions,
-    f: impl FnOnce(&mut Pool<'_>) -> R,
-) -> R {
-    let layout = opts
-        .columnar
-        .then(|| Arc::new(ColumnarBlocks::build(points, opts.fast_math)));
-    let fast_math = opts.fast_math && opts.columnar;
-    let n_blocks = points.rows().div_ceil(kernel::BLOCK);
+    let layout = Arc::new(ColumnarBlocks::build(points, fast_math));
     // More workers than blocks would never all run; cap keeps the
     // spawn cost proportional to useful parallelism. (Results do not
     // depend on the cap — or on the thread count at all.)
-    let workers = threads.min(n_blocks);
+    let workers = threads.min(layout.len());
+    let pool = |mode, workers, layout| Pool {
+        points,
+        metric,
+        mode,
+        workers,
+        stats: PoolStats::default(),
+        physical: PoolStats::default(),
+        round_mark: PoolStats::default(),
+        queue_high_water: 0,
+        index: None,
+        prune: PruneStats::default(),
+        layout,
+        fast_math,
+        fstats: FastMathStats::default(),
+    };
     if workers <= 1 {
-        let mut pool = Pool {
-            points,
-            metric,
-            mode: Mode::Serial,
-            workers: 0,
-            stats: PoolStats::default(),
-            physical: PoolStats::default(),
-            round_mark: PoolStats::default(),
-            queue_high_water: 0,
-            index: None,
-            prune: PruneStats::default(),
-            layout,
-            fast_math,
-            fstats: FastMathStats::default(),
-            columnar_blocks: 0,
-            rowmajor_blocks: 0,
-        };
-        return f(&mut pool);
+        return f(&mut pool(Mode::Serial, 0, layout));
     }
     std::thread::scope(|s| {
         let (job_tx, job_rx) = mpsc::channel::<Job>();
         let job_rx = Arc::new(Mutex::new(job_rx));
-        let (result_tx, result_rx) = mpsc::channel::<(usize, Partial, PruneStats, FastMathStats)>();
+        let (result_tx, result_rx) = mpsc::channel();
         for _ in 0..workers {
             let rx = Arc::clone(&job_rx);
             let tx = result_tx.clone();
-            let worker_layout = layout.clone();
+            let layout = Arc::clone(&layout);
             s.spawn(move || {
                 loop {
                     // Hold the lock only to pop; compute unlocked. A
@@ -444,34 +351,16 @@ pub fn with_pool_opts<R>(
                         Ok(job) => job,
                         Err(_) => break, // pool dropped: fit is over
                     };
-                    let (lo, hi) = job.block;
-                    let (partial, prune, fstats) =
-                        job.task
-                            .run(points, metric, worker_layout.as_deref(), fast_math, lo, hi);
-                    if tx.send((job.index, partial, prune, fstats)).is_err() {
+                    let tile = layout.tile(job.index);
+                    let result = job.task.run(&tile, points, metric, fast_math);
+                    if tx.send((job.index, result)).is_err() {
                         break;
                     }
                 }
             });
         }
         drop(result_tx);
-        let mut pool = Pool {
-            points,
-            metric,
-            mode: Mode::Pooled { job_tx, result_rx },
-            workers,
-            stats: PoolStats::default(),
-            physical: PoolStats::default(),
-            round_mark: PoolStats::default(),
-            queue_high_water: 0,
-            index: None,
-            prune: PruneStats::default(),
-            layout,
-            fast_math,
-            fstats: FastMathStats::default(),
-            columnar_blocks: 0,
-            rowmajor_blocks: 0,
-        };
+        let mut pool = pool(Mode::Pooled { job_tx, result_rx }, workers, layout);
         let out = f(&mut pool);
         // Dropping the pool closes the job channel; every worker's next
         // recv fails and it exits, letting the scope join them.
@@ -522,7 +411,7 @@ impl<'env> Pool<'env> {
     /// to the uncached engine's.
     pub(crate) fn note_logical_pass(&mut self) {
         self.stats.dispatches += 1;
-        self.stats.blocks += self.points.rows().div_ceil(kernel::BLOCK) as u64;
+        self.stats.blocks += self.layout.len() as u64;
     }
 
     /// Work counters accumulated since the previous call (or pool
@@ -541,8 +430,8 @@ impl<'env> Pool<'env> {
     }
 
     /// Install (or remove) the neighbor index. With an index set, every
-    /// fused, assignment, and refinement pass runs its pruned kernel
-    /// twin; results are bit-identical either way.
+    /// fused, assignment, and refinement pass runs its pruned kernel;
+    /// results are bit-identical either way.
     pub fn set_index(&mut self, index: Option<Arc<NeighborIndex>>) {
         self.index = index;
     }
@@ -560,12 +449,6 @@ impl<'env> Pool<'env> {
         self.prune
     }
 
-    /// Whether the columnar layout is installed (every pass then runs
-    /// the columnar kernel twins).
-    pub fn layout_enabled(&self) -> bool {
-        self.layout.is_some()
-    }
-
     /// Whether assignment passes engage the `f32` exactness-gated
     /// screen.
     pub fn fast_math_enabled(&self) -> bool {
@@ -576,12 +459,6 @@ impl<'env> Pool<'env> {
     /// (manifest-only, like [`Pool::prune_stats`]).
     pub fn fast_math_stats(&self) -> FastMathStats {
         self.fstats
-    }
-
-    /// Row blocks dispatched `(with, without)` the columnar layout
-    /// since pool creation (manifest-only `layout.*` counters).
-    pub fn layout_block_counts(&self) -> (u64, u64) {
-        (self.columnar_blocks, self.rowmajor_blocks)
     }
 
     /// Fan a task out over all row blocks, booking both a logical and a
@@ -596,85 +473,49 @@ impl<'env> Pool<'env> {
     /// directly by the cache's subset recomputations, whose logical
     /// accounting happens at the semantic-pass level instead.
     fn dispatch_physical(&mut self, task: Task) -> Vec<Partial> {
-        let blocks = kernel::blocks(self.points.rows());
+        let total = self.layout.len();
         self.physical.dispatches += 1;
-        self.physical.blocks += blocks.len() as u64;
-        if self.layout.is_some() {
-            self.columnar_blocks += blocks.len() as u64;
-        } else {
-            self.rowmajor_blocks += blocks.len() as u64;
-        }
-        match &self.mode {
-            Mode::Serial => blocks
-                .into_iter()
-                .map(|(lo, hi)| {
-                    let (partial, prune, fstats) = task.run(
-                        self.points,
-                        self.metric,
-                        self.layout.as_deref(),
-                        self.fast_math,
-                        lo,
-                        hi,
-                    );
-                    self.prune.merge(prune);
-                    self.fstats.merge(fstats);
-                    partial
-                })
-                .collect(),
-            Mode::Pooled { job_tx, result_rx } => {
-                let total = blocks.len();
-                let mut slots: Vec<Option<Partial>> = (0..total).map(|_| None).collect();
-                let mut queued = 0usize;
-                for (index, &block) in blocks.iter().enumerate() {
-                    let job = Job {
-                        task: task.clone_refs(),
-                        block,
-                        index,
-                    };
-                    if job_tx.send(job).is_err() {
-                        break; // workers gone: the serial sweep below covers it
-                    }
-                    queued += 1;
+        self.physical.blocks += total as u64;
+        let (points, metric, fast_math) = (self.points, self.metric, self.fast_math);
+        let mut results: Vec<Option<BlockResult>> = (0..total).map(|_| None).collect();
+        if let Mode::Pooled { job_tx, result_rx } = &self.mode {
+            let mut queued = 0usize;
+            for index in 0..total {
+                let job = Job {
+                    task: task.clone_refs(),
+                    index,
+                };
+                if job_tx.send(job).is_err() {
+                    break; // workers gone: the serial sweep below covers it
                 }
-                self.queue_high_water = self.queue_high_water.max(queued as u64);
-                let mut received = 0usize;
-                let mut prune = PruneStats::default();
-                let mut fstats = FastMathStats::default();
-                while received < queued {
-                    match result_rx.recv() {
-                        Ok((index, partial, block_prune, block_fstats)) => {
-                            if slots[index].replace(partial).is_none() {
-                                received += 1;
-                                prune.merge(block_prune);
-                                fstats.merge(block_fstats);
-                            }
+                queued += 1;
+            }
+            self.queue_high_water = self.queue_high_water.max(queued as u64);
+            let mut received = 0usize;
+            while received < queued {
+                match result_rx.recv() {
+                    Ok((index, result)) => {
+                        if results[index].replace(result).is_none() {
+                            received += 1;
                         }
-                        Err(_) => break, // all workers gone mid-dispatch
                     }
+                    Err(_) => break, // all workers gone mid-dispatch
                 }
-                // Graceful degradation: any block no worker reported
-                // (a hung-up pool) is computed on this thread, so the
-                // pass always completes with the exact serial result.
-                for (slot, &(lo, hi)) in slots.iter_mut().zip(&blocks) {
-                    if slot.is_none() {
-                        let (partial, block_prune, block_fstats) = task.run(
-                            self.points,
-                            self.metric,
-                            self.layout.as_deref(),
-                            self.fast_math,
-                            lo,
-                            hi,
-                        );
-                        *slot = Some(partial);
-                        prune.merge(block_prune);
-                        fstats.merge(block_fstats);
-                    }
-                }
-                self.prune.merge(prune);
-                self.fstats.merge(fstats);
-                slots.into_iter().flatten().collect()
             }
         }
+        // Serial mode runs every block here, in order; pooled mode
+        // degrades gracefully — any block no worker reported (a hung-up
+        // pool) is computed on this thread, so the pass always completes
+        // with the exact serial result.
+        let mut partials = Vec::with_capacity(total);
+        for (tile, slot) in self.layout.tiles().zip(results) {
+            let (partial, prune, fstats) =
+                slot.unwrap_or_else(|| task.run(&tile, points, metric, fast_math));
+            self.prune.merge(prune);
+            self.fstats.merge(fstats);
+            partials.push(partial);
+        }
+        partials
     }
 
     /// The fused locality + `X` pass: localities of every medoid and
@@ -728,12 +569,9 @@ impl<'env> Pool<'env> {
     /// `Vec<f64>` of length `N` per slot, `cols[s][p]` the distance of
     /// point `p` to `medoids[s]` under `dims[s]`. Physical work only —
     /// this is the cache's column-recomputation pass; see
-    /// [`crate::kernel::columns_block`] for the bit-identity argument.
-    pub(crate) fn distance_columns(
-        &mut self,
-        medoids: &[usize],
-        dims: &[Vec<usize>],
-    ) -> Vec<Vec<f64>> {
+    /// [`crate::kernel::columns_block_columnar`] for the bit-identity
+    /// argument.
+    pub fn distance_columns(&mut self, medoids: &[usize], dims: &[Vec<usize>]) -> Vec<Vec<f64>> {
         if medoids.is_empty() {
             return Vec::new();
         }
@@ -893,7 +731,7 @@ mod tests {
         let deltas = medoid_deltas(&points, &medoids, metric);
         let spheres = crate::refine::spheres_of_influence(&points, &medoids, &dims, metric);
 
-        let serial = with_pool(&points, metric, 1, |pool| {
+        let serial = with_pool(&points, metric, 1, false, |pool| {
             let fused = pool.fused_round(&medoids, &deltas);
             let assign = pool.assign(&medoids, &dims);
             let ax = pool.assign_x(&medoids, &dims);
@@ -904,7 +742,7 @@ mod tests {
         });
 
         for threads in [2, 3, 8, 64] {
-            let pooled = with_pool(&points, metric, threads, |pool| {
+            let pooled = with_pool(&points, metric, threads, false, |pool| {
                 let fused = pool.fused_round(&medoids, &deltas);
                 let assign = pool.assign(&medoids, &dims);
                 let ax = pool.assign_x(&medoids, &dims);
@@ -935,7 +773,7 @@ mod tests {
         let deltas = medoid_deltas(&points, &medoids, metric);
 
         for threads in [1, 4] {
-            with_pool(&points, metric, threads, |pool| {
+            with_pool(&points, metric, threads, false, |pool| {
                 let (full_locs, full_x) = pool.fused_round(&medoids, &deltas);
                 for subset in [vec![1usize], vec![0, 2], vec![3, 1]] {
                     let sub_m: Vec<usize> = subset.iter().map(|&i| medoids[i]).collect();
@@ -968,7 +806,7 @@ mod tests {
         let medoids = vec![1usize, 2000];
         let metric = DistanceKind::Manhattan;
         let deltas = medoid_deltas(&points, &medoids, metric);
-        with_pool(&points, metric, 1, |pool| {
+        with_pool(&points, metric, 1, false, |pool| {
             let nblocks = kernel::blocks(points.rows()).len() as u64;
             pool.fused_round(&medoids, &deltas);
             assert_eq!(pool.stats(), pool.physical_stats());
@@ -992,7 +830,7 @@ mod tests {
         // the persistent pool).
         let points = random_points(2500, 4, 7);
         let metric = DistanceKind::Manhattan;
-        let total = with_pool(&points, metric, 4, |pool| {
+        let total = with_pool(&points, metric, 4, false, |pool| {
             let mut sum = 0usize;
             for round in 0..20 {
                 let medoids = vec![round, 1000 + round];
@@ -1001,7 +839,7 @@ mod tests {
             }
             sum
         });
-        let serial_total = with_pool(&points, metric, 1, |pool| {
+        let serial_total = with_pool(&points, metric, 1, false, |pool| {
             let mut sum = 0usize;
             for round in 0..20 {
                 let medoids = vec![round, 1000 + round];
@@ -1025,7 +863,7 @@ mod tests {
         let spheres = crate::refine::spheres_of_influence(&points, &medoids, &dims, metric);
 
         let run = |threads: usize, indexed: bool| {
-            with_pool(&points, metric, threads, |pool| {
+            with_pool(&points, metric, threads, false, |pool| {
                 if indexed {
                     pool.set_index(Some(Arc::new(NeighborIndex::build(&points, metric))));
                     assert!(pool.index_enabled());
@@ -1067,7 +905,9 @@ mod tests {
         let medoids = vec![0usize, 25];
         let dims = vec![vec![0, 1], vec![1, 2]];
         let metric = DistanceKind::Manhattan;
-        let a = with_pool(&points, metric, 8, |pool| pool.assign(&medoids, &dims));
+        let a = with_pool(&points, metric, 8, false, |pool| {
+            pool.assign(&medoids, &dims)
+        });
         let b = crate::assign::assign_points(&points, &medoids, &dims, metric);
         assert_eq!(a, b);
     }

@@ -242,7 +242,7 @@ mod tests {
         let spheres = spheres_of_influence(&m, &medoids, &dims, metric);
         // Δ0 = d_{D0}(m0, m1) = 10; Δ1 = d_{D1}(m1, m0) = 3.
         assert_eq!(spheres, vec![10.0, 3.0]);
-        let assignment = crate::pool::with_pool(&m, metric, 1, |pool| {
+        let assignment = crate::pool::with_pool(&m, metric, 1, false, |pool| {
             pool.refine_assign(&medoids, &dims, &spheres)
         });
         // Point 2 = (6,7): distance 6 to m0 (inside Δ0 = 10) but

@@ -1,16 +1,23 @@
-//! Columnar-layout equivalence tier: the dimension-major blocked
-//! kernels must be **bit-identical** to the row-major originals for
-//! every pooled pass, metric, and thread count — on matrices built to
-//! expose any deviation (exact distance ties, duplicated rows, mixed
-//! 1e±9 magnitudes) — and the opt-in `f32` fast path must leave the
+//! Pool-pass equivalence tier: every pass the worker pool runs — fused
+//! locality + `X`, assignment, assignment + `X`, distance columns,
+//! cluster `X` and the refinement reassignment — must equal its plain
+//! scalar reference **bit for bit**, for every metric, thread count and
+//! index setting, on matrices built to expose any deviation (exact
+//! distance ties, duplicated rows, mixed 1e±9 magnitudes) and on the
+//! whole workload zoo. The opt-in `f32` fast path must also leave the
 //! recorded event stream byte-identical.
 
-use proclus::core::locality::medoid_deltas;
-use proclus::core::pool::{with_pool_opts, PoolOptions};
+use proclus::core::assign::{assign_points, group_members};
+use proclus::core::dims::{average_dimension_distances, find_dimensions};
+use proclus::core::locality::{localities, medoid_deltas};
+use proclus::core::pool::with_pool;
+use proclus::core::refine::refine_opt;
+use proclus::core::NeighborIndex;
 use proclus::obs::JsonlRecorder;
 use proclus::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::path::PathBuf;
 use std::sync::Arc;
 
 fn tmp(name: &str) -> std::path::PathBuf {
@@ -55,6 +62,35 @@ fn mixed_magnitude(n: usize, d: usize, seed: u64) -> Matrix {
     Matrix::from_vec(data, n, d)
 }
 
+/// Epoch 0 of every zoo scenario, generated in-process, as
+/// `(name, points, cluster count)`.
+fn zoo() -> Vec<(String, Matrix, usize)> {
+    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("scenarios");
+    let mut paths: Vec<PathBuf> = std::fs::read_dir(dir)
+        .expect("scenarios/ directory")
+        .map(|e| e.expect("dir entry").path())
+        .filter(|p| p.extension().is_some_and(|e| e == "scn"))
+        .collect();
+    paths.sort();
+    paths
+        .iter()
+        .map(|path| {
+            let text = std::fs::read_to_string(path).expect("scenario file");
+            let spec = ScenarioSpec::parse(&text).expect("scenario parses");
+            let mut data = Vec::with_capacity(spec.base.n * spec.cols());
+            spec.for_each_row(|epoch, row, _| {
+                if epoch == 0 {
+                    data.extend_from_slice(row);
+                }
+            })
+            .expect("scenario generates");
+            let n = data.len() / spec.cols();
+            let points = Matrix::from_vec(data, n, spec.cols());
+            (spec.name.clone(), points, spec.base.k)
+        })
+        .collect()
+}
+
 fn assert_bits_eq(a: &[Vec<f64>], b: &[Vec<f64>], ctx: &str) {
     assert_eq!(a.len(), b.len(), "{ctx}: shape");
     for (i, (ra, rb)) in a.iter().zip(b).enumerate() {
@@ -65,53 +101,94 @@ fn assert_bits_eq(a: &[Vec<f64>], b: &[Vec<f64>], ctx: &str) {
     }
 }
 
-/// Every pooled pass with the columnar layout on must equal the
-/// row-major pool bit for bit — across 3 metrics, 3 adversarial
-/// matrix families, and thread counts 1/2/8.
-#[test]
-fn columnar_pool_passes_are_bit_identical_to_row_major() {
-    let (n, d) = (1_700usize, 6usize);
+/// Worker counts: serial, the small counts a 2-CPU machine runs, odd
+/// counts that split the blocks unevenly, and counts far above the
+/// number of blocks.
+const THREADS: [usize; 7] = [1, 2, 3, 5, 8, 16, 64];
+
+/// Compare all six pool passes on `points` with their scalar
+/// references, under every metric, thread count and index setting.
+/// Medoids are `k` evenly spaced rows; dimension sets come from
+/// FindDimensions over their localities.
+fn check_against_references(name: &str, points: &Matrix, k: usize) {
+    let (n, d) = (points.rows(), points.cols());
+    let medoids: Vec<usize> = (0..k).map(|i| i * n / k + 1).collect();
+    let total_dims = k * (2 * d / 3).max(2);
     for metric in [
         DistanceKind::Manhattan,
         DistanceKind::Euclidean,
         DistanceKind::Chebyshev,
     ] {
-        for (family, points) in [
-            ("tie-heavy", tie_heavy(n, d, 21)),
-            ("duplicate-rows", duplicate_rows(n, d, 22)),
-            ("mixed-magnitude", mixed_magnitude(n, d, 23)),
-        ] {
-            let medoids = vec![5usize, 800, 1_500];
-            let dims = vec![vec![0, 1, 2], vec![1, 3], vec![0, 4, 5]];
-            let deltas = medoid_deltas(&points, &medoids, metric);
-            let spheres: Vec<f64> = deltas.iter().map(|d| d * 0.8).collect();
-            let run = |columnar: bool, threads: usize| {
-                let opts = PoolOptions {
-                    columnar,
-                    fast_math: false,
-                };
-                with_pool_opts(&points, metric, threads, opts, |pool| {
-                    let fused = pool.fused_round(&medoids, &deltas);
-                    let assign = pool.assign(&medoids, &dims);
-                    let assign_x = pool.assign_x(&medoids, &dims);
-                    let refined = pool.refine_assign(&medoids, &dims, &spheres);
-                    let cluster_x = pool.cluster_x(&medoids, Arc::new(refined.clone()));
-                    (fused, assign, assign_x, refined, cluster_x)
-                })
-            };
-            let baseline = run(false, 1);
-            for threads in [1usize, 2, 8] {
-                let ctx = format!("{family}/{metric:?}/t{threads}");
-                let got = run(true, threads);
-                assert_eq!(baseline.0 .0, got.0 .0, "{ctx}: localities");
-                assert_bits_eq(&baseline.0 .1, &got.0 .1, &format!("{ctx}: locality X"));
-                assert_eq!(baseline.1, got.1, "{ctx}: assignment");
-                assert_eq!(baseline.2 .0, got.2 .0, "{ctx}: assign+X winners");
-                assert_bits_eq(&baseline.2 .1, &got.2 .1, &format!("{ctx}: assign+X sums"));
-                assert_eq!(baseline.3, got.3, "{ctx}: refine assignment");
-                assert_bits_eq(&baseline.4, &got.4, &format!("{ctx}: cluster X"));
+        let deltas = medoid_deltas(points, &medoids, metric);
+        let locs = localities(points, &medoids, &deltas, metric);
+        let locality_x = average_dimension_distances(points, &medoids, &locs);
+        let dims = find_dimensions(points, &medoids, &locs, total_dims);
+        let assignment = assign_points(points, &medoids, &dims, metric);
+        let all: Vec<Option<usize>> = assignment.iter().map(|&a| Some(a)).collect();
+        let clusters = group_members(&all, k);
+        let assign_x = average_dimension_distances(points, &medoids, &clusters);
+        let columns: Vec<Vec<f64>> = medoids
+            .iter()
+            .zip(&dims)
+            .map(|(&m, di)| {
+                (0..n)
+                    .map(|p| metric.eval_segmental(points.row(p), points.row(m), di))
+                    .collect()
+            })
+            .collect();
+        let refined = refine_opt(points, &medoids, &clusters, total_dims, metric, true);
+        let refined_clusters = group_members(&refined.assignment, k);
+        let cluster_x = average_dimension_distances(points, &medoids, &refined_clusters);
+
+        for threads in THREADS {
+            for indexed in [false, true] {
+                let ctx = format!("{name}/{metric:?}/t{threads}/index={indexed}");
+                with_pool(points, metric, threads, false, |pool| {
+                    if indexed {
+                        pool.set_index(Some(Arc::new(NeighborIndex::build(points, metric))));
+                    }
+                    let (got_locs, got_x) = pool.fused_round(&medoids, &deltas);
+                    assert_eq!(got_locs, locs, "{ctx}: localities");
+                    assert_bits_eq(&got_x, &locality_x, &format!("{ctx}: locality X"));
+                    assert_eq!(pool.assign(&medoids, &dims), assignment, "{ctx}: assign");
+                    let (got_assign, got_ax) = pool.assign_x(&medoids, &dims);
+                    assert_eq!(got_assign, assignment, "{ctx}: assign+X winners");
+                    assert_bits_eq(&got_ax, &assign_x, &format!("{ctx}: assign+X sums"));
+                    assert_bits_eq(
+                        &pool.distance_columns(&medoids, &dims),
+                        &columns,
+                        &format!("{ctx}: columns"),
+                    );
+                    let got_cx = pool.cluster_x(&medoids, Arc::new(refined.assignment.clone()));
+                    assert_bits_eq(&got_cx, &cluster_x, &format!("{ctx}: cluster X"));
+                    assert_eq!(
+                        pool.refine_assign(&medoids, &refined.dims, &refined.spheres),
+                        refined.assignment,
+                        "{ctx}: refine assignment"
+                    );
+                });
             }
         }
+    }
+}
+
+/// The differential test: every pool pass equals its scalar reference
+/// bit for bit, on the adversarial matrices (N = 3·1024 + 17, so the
+/// last block is ragged) and on all 14 zoo scenarios.
+#[test]
+fn pool_passes_are_bit_identical_to_scalar_references() {
+    let (n, d) = (3 * 1024 + 17, 12);
+    for (family, points) in [
+        ("tie-heavy", tie_heavy(n, d, 21)),
+        ("duplicate-rows", duplicate_rows(n, d, 22)),
+        ("mixed-magnitude", mixed_magnitude(n, d, 23)),
+    ] {
+        check_against_references(family, &points, 3);
+    }
+    let zoo = zoo();
+    assert_eq!(zoo.len(), 14, "the zoo has 14 scenarios");
+    for (name, points, k) in &zoo {
+        check_against_references(name, points, *k);
     }
 }
 

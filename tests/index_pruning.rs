@@ -103,7 +103,7 @@ fn indexed_nearest_medoid_matches_the_plain_scan_exactly() {
             );
 
             for threads in [1usize, 4] {
-                let got = with_pool(&m, metric, threads, |pool| {
+                let got = with_pool(&m, metric, threads, false, |pool| {
                     pool.set_index(Some(Arc::new(NeighborIndex::build(&m, metric))));
                     pool.assign(&medoids, &dims)
                 });

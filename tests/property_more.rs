@@ -414,7 +414,7 @@ fn tie_breaking_is_identical_across_all_assignment_paths() {
             // and 4 threads.
             for threads in [1usize, 4] {
                 for indexed in [false, true] {
-                    let got = with_pool(&m, metric, threads, |pool| {
+                    let got = with_pool(&m, metric, threads, false, |pool| {
                         if indexed {
                             pool.set_index(Some(Arc::new(NeighborIndex::build(&m, metric))));
                         }
@@ -430,12 +430,12 @@ fn tie_breaking_is_identical_across_all_assignment_paths() {
             // Refinement path: the sphere-gated assignment breaks its
             // nearest-medoid ties the same way on every path.
             let spheres = proclus::core::refine::spheres_of_influence(&m, &medoids, &dims, metric);
-            let reference_refine = with_pool(&m, metric, 1, |pool| {
+            let reference_refine = with_pool(&m, metric, 1, false, |pool| {
                 pool.refine_assign(&medoids, &dims, &spheres)
             });
             for threads in [1usize, 4] {
                 for indexed in [false, true] {
-                    let got = with_pool(&m, metric, threads, |pool| {
+                    let got = with_pool(&m, metric, threads, false, |pool| {
                         if indexed {
                             pool.set_index(Some(Arc::new(NeighborIndex::build(&m, metric))));
                         }

@@ -304,11 +304,11 @@ fn pooled_kernel_is_bit_identical_across_thread_counts() {
         let metric = DistanceKind::Manhattan;
         let deltas = medoid_deltas(points, &medoids, metric);
 
-        let reference = with_pool(points, metric, 1, |pool| {
+        let reference = with_pool(points, metric, 1, false, |pool| {
             pooled_round(pool, &medoids, &deltas)
         });
         for threads in [2usize, 8, 64] {
-            let got = with_pool(points, metric, threads, |pool| {
+            let got = with_pool(points, metric, threads, false, |pool| {
                 pooled_round(pool, &medoids, &deltas)
             });
             assert_eq!(got.0, reference.0, "localities differ at {threads} threads");
