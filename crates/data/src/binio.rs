@@ -24,6 +24,7 @@ use crate::error::DataError;
 use crate::label::Label;
 use proclus_math::Matrix;
 use std::fs;
+use std::io::{BufWriter, Write};
 use std::path::Path;
 
 /// File magic opening every `PRCL` binary dataset (public so format
@@ -228,19 +229,49 @@ pub fn tmp_path(path: &Path) -> std::path::PathBuf {
 ///
 /// A crash at any instant leaves either the old file intact (possibly
 /// next to a detectable partial `.tmp`) or the new file complete —
-/// never a torn `path`.
+/// never a torn `path`. A write that fails without a crash removes its
+/// `.tmp` again.
 ///
 /// # Errors
 ///
 /// [`DataError::Io`] naming the staged or final path on any failure.
 pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), DataError> {
-    use std::io::Write;
+    write_staged(path, |w, tmp| {
+        w.write_all(bytes).map_err(|e| DataError::io(tmp, e))
+    })
+}
+
+/// The temp-file + rename shell every dataset writer shares: `fill`
+/// streams the new contents into a buffered `<path>.tmp` (it gets the
+/// temp path for error context); the file is then flushed, fsynced and
+/// renamed over `path`, and the parent directory fsynced best-effort.
+///
+/// Once the temp file exists, any failure — in `fill`, the flush, the
+/// fsync or the rename — removes it before the error is returned.
+///
+/// # Errors
+///
+/// [`DataError::Io`] naming the staged or final path on an I/O failure,
+/// or whatever `fill` returns.
+pub(crate) fn write_staged<T>(
+    path: &Path,
+    fill: impl FnOnce(&mut BufWriter<fs::File>, &Path) -> Result<T, DataError>,
+) -> Result<T, DataError> {
     let tmp = tmp_path(path);
-    let mut f = fs::File::create(&tmp).map_err(|e| DataError::io(&tmp, e))?;
-    f.write_all(bytes).map_err(|e| DataError::io(&tmp, e))?;
-    f.sync_all().map_err(|e| DataError::io(&tmp, e))?;
-    drop(f);
-    fs::rename(&tmp, path).map_err(|e| DataError::io(path, e))?;
+    let mut w = BufWriter::new(fs::File::create(&tmp).map_err(|e| DataError::io(&tmp, e))?);
+    let published = fill(&mut w, &tmp).and_then(|out| {
+        let f = w
+            .into_inner()
+            .map_err(|e| DataError::io(&tmp, e.into_error()))?;
+        f.sync_all().map_err(|e| DataError::io(&tmp, e))?;
+        drop(f);
+        fs::rename(&tmp, path).map_err(|e| DataError::io(path, e))?;
+        Ok(out)
+    });
+    if published.is_err() {
+        let _ = fs::remove_file(&tmp);
+        return published;
+    }
     if let Some(parent) = path.parent() {
         if !parent.as_os_str().is_empty() {
             if let Ok(dir) = fs::File::open(parent) {
@@ -248,7 +279,7 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), DataError> {
             }
         }
     }
-    Ok(())
+    published
 }
 
 /// Write the binary format to a file (crash-safe: temp file + rename).
@@ -470,6 +501,20 @@ mod tests {
         let (m3, l3) = read_binary(&path).unwrap();
         assert_eq!(m3, replacement);
         assert_eq!(l3, None);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn failed_write_binary_removes_its_tmp() {
+        // The final path is an existing directory: the rename fails
+        // after the staged file was written and fsynced.
+        let dir = std::env::temp_dir().join(format!("proclus-bin-dir-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let (m, l) = sample();
+        let err = write_binary(&dir, &m, Some(&l)).unwrap_err();
+        assert!(matches!(err, DataError::Io { .. }), "{err:?}");
+        assert!(!tmp_path(&dir).exists());
+        assert!(dir.is_dir());
         std::fs::remove_dir_all(&dir).ok();
     }
 

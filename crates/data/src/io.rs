@@ -5,12 +5,12 @@
 //! matching the paper's tables — or `Out.` for outliers). A single
 //! header line `x0,x1,…[,label]` is always written.
 
-use crate::binio::tmp_path;
+use crate::binio::write_staged;
 use crate::error::DataError;
 use crate::label::Label;
 use proclus_math::Matrix;
 use std::fs::File;
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{self, BufRead, BufReader, Write};
 use std::path::Path;
 
 /// Write `points` (and optionally aligned `labels`) as CSV.
@@ -62,50 +62,37 @@ pub(crate) fn write_csv_rows<'a>(
     with_labels: bool,
     rows: impl Iterator<Item = (&'a [f64], Option<Label>)>,
 ) -> Result<(), DataError> {
-    let tmp = tmp_path(path);
-    let tmperr = |e| DataError::io(&tmp, e);
-    let mut w = BufWriter::new(File::create(&tmp).map_err(tmperr)?);
-    for j in 0..cols {
-        if j > 0 {
-            write!(w, ",").map_err(tmperr)?;
-        }
-        write!(w, "x{j}").map_err(tmperr)?;
-    }
-    if with_labels {
-        write!(w, ",label").map_err(tmperr)?;
-    }
-    writeln!(w).map_err(tmperr)?;
-    for (row, label) in rows {
-        for (j, v) in row.iter().enumerate() {
+    write_staged(path, |w, tmp| {
+        let tmperr = |e| DataError::io(tmp, e);
+        for j in 0..cols {
             if j > 0 {
                 write!(w, ",").map_err(tmperr)?;
             }
-            write!(w, "{v}").map_err(tmperr)?;
+            write!(w, "x{j}").map_err(tmperr)?;
         }
         if with_labels {
-            let l = label.ok_or(DataError::LengthMismatch {
-                what: "labels for write_csv_rows",
-                expected: 1,
-                got: 0,
-            })?;
-            write!(w, ",{}", label_token(l)).map_err(tmperr)?;
+            write!(w, ",label").map_err(tmperr)?;
         }
         writeln!(w).map_err(tmperr)?;
-    }
-    let f = w
-        .into_inner()
-        .map_err(|e| DataError::io(&tmp, e.into_error()))?;
-    f.sync_all().map_err(tmperr)?;
-    drop(f);
-    std::fs::rename(&tmp, path).map_err(|e| DataError::io(path, e))?;
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            if let Ok(dir) = File::open(parent) {
-                let _ = dir.sync_all();
+        for (row, label) in rows {
+            for (j, v) in row.iter().enumerate() {
+                if j > 0 {
+                    write!(w, ",").map_err(tmperr)?;
+                }
+                write!(w, "{v}").map_err(tmperr)?;
             }
+            if with_labels {
+                let l = label.ok_or(DataError::LengthMismatch {
+                    what: "labels for write_csv_rows",
+                    expected: 1,
+                    got: 0,
+                })?;
+                write!(w, ",{}", label_token(l)).map_err(tmperr)?;
+            }
+            writeln!(w).map_err(tmperr)?;
         }
-    }
-    Ok(())
+        Ok(())
+    })
 }
 
 /// Read a CSV produced by [`write_csv`] (header required).
@@ -139,10 +126,18 @@ pub fn read_csv_bytes(
     read_csv_from(origin, bytes)
 }
 
-/// Shared CSV parser over any buffered source; `path` is only for
+/// Shared CSV decoder over any buffered source; `path` is only for
 /// error context.
-fn read_csv_from(path: &Path, r: impl BufRead) -> Result<(Matrix, Option<Vec<Label>>), DataError> {
-    let oserr = |e| DataError::io(path, e);
+///
+/// One streaming pass with constant memory beyond the output: every
+/// line is read into one reused byte buffer, checked as UTF-8 once, and
+/// split on `,` with each coordinate parsed by std's correctly rounded
+/// `f64` parser straight into the output, so no line or field is
+/// allocated and the values are bit-exact.
+fn read_csv_from(
+    path: &Path,
+    mut r: impl BufRead,
+) -> Result<(Matrix, Option<Vec<Label>>), DataError> {
     let at =
         |line: usize, column: Option<usize>, token: Option<&str>, reason: String| DataError::Csv {
             path: path.into(),
@@ -151,11 +146,9 @@ fn read_csv_from(path: &Path, r: impl BufRead) -> Result<(Matrix, Option<Vec<Lab
             token: token.map(str::to_string),
             reason,
         };
-    let mut lines = r.lines();
-    let header = lines
-        .next()
-        .ok_or_else(|| at(1, None, None, "empty file".into()))?
-        .map_err(oserr)?;
+    let mut buf = Vec::new();
+    let header =
+        next_line(path, &mut r, &mut buf)?.ok_or_else(|| at(1, None, None, "empty file".into()))?;
     let columns: Vec<&str> = header.split(',').collect();
     let has_labels = columns.last() == Some(&"label");
     let d = if has_labels {
@@ -180,40 +173,54 @@ fn read_csv_from(path: &Path, r: impl BufRead) -> Result<(Matrix, Option<Vec<Lab
         }
     }
 
+    let expected = d + usize::from(has_labels);
     let mut data: Vec<f64> = Vec::new();
     let mut labels: Vec<Label> = Vec::new();
     let mut rows = 0usize;
-    for (lineno, line) in lines.enumerate() {
-        let line = line.map_err(oserr)?;
+    // Data lines start at line 2 (the header is line 1).
+    let mut ln = 1;
+    while let Some(line) = next_line(path, &mut r, &mut buf)? {
+        ln += 1;
         if line.is_empty() {
             continue;
         }
-        // Data lines start at line 2 (the header is line 1).
-        let ln = lineno + 2;
-        let fields: Vec<&str> = line.split(',').collect();
-        let expected = d + usize::from(has_labels);
-        if fields.len() != expected {
+        // A ragged row is reported before any bad field in it, so the
+        // first bad coordinate is only remembered while the scan counts
+        // the rest of the fields.
+        let mut fields = 0usize;
+        let mut bad: Option<(usize, &str, &str)> = None;
+        let mut label = None;
+        let bytes = line.as_bytes();
+        let mut start = 0;
+        let commas = bytes.iter().enumerate().filter(|&(_, &b)| b == b',');
+        for end in commas.map(|(i, _)| i).chain([bytes.len()]) {
+            let f = &line[start..end];
+            start = end + 1;
+            if fields < d {
+                if bad.is_none() {
+                    match f.parse::<f64>() {
+                        Ok(v) if v.is_finite() => data.push(v),
+                        Ok(_) => bad = Some((fields, f, "non-finite coordinate")),
+                        Err(_) => bad = Some((fields, f, "cannot parse as a number")),
+                    }
+                }
+            } else if has_labels && fields == d {
+                label = Some(f);
+            }
+            fields += 1;
+        }
+        if fields != expected {
             return Err(at(
                 ln,
                 None,
                 None,
-                format!(
-                    "ragged row: expected {expected} fields, got {}",
-                    fields.len()
-                ),
+                format!("ragged row: expected {expected} fields, got {fields}"),
             ));
         }
-        for (j, f) in fields[..d].iter().enumerate() {
-            let v: f64 = f
-                .parse()
-                .map_err(|_| at(ln, Some(j + 1), Some(f), "cannot parse as a number".into()))?;
-            if !v.is_finite() {
-                return Err(at(ln, Some(j + 1), Some(f), "non-finite coordinate".into()));
-            }
-            data.push(v);
+        if let Some((j, tok, reason)) = bad {
+            return Err(at(ln, Some(j + 1), Some(tok), reason.into()));
         }
-        if has_labels {
-            let tok = fields[d];
+        if let Some(tok) = label {
             labels.push(
                 parse_label(tok)
                     .ok_or_else(|| at(ln, Some(d + 1), Some(tok), "bad label token".into()))?,
@@ -225,6 +232,41 @@ fn read_csv_from(path: &Path, r: impl BufRead) -> Result<(Matrix, Option<Vec<Lab
         Matrix::from_vec(data, rows, d),
         has_labels.then_some(labels),
     ))
+}
+
+/// Read the next line of `r` into `buf` and return it as text, without
+/// its `\n` and then one `\r` (the ending [`BufRead::lines`] strips);
+/// `None` at end of input.
+///
+/// # Errors
+///
+/// [`DataError::Io`] carrying `path` on a read failure or when the line
+/// is not UTF-8.
+fn next_line<'b>(
+    path: &Path,
+    r: &mut impl BufRead,
+    buf: &'b mut Vec<u8>,
+) -> Result<Option<&'b str>, DataError> {
+    buf.clear();
+    let read = r
+        .read_until(b'\n', buf)
+        .map_err(|e| DataError::io(path, e))?;
+    if read == 0 {
+        return Ok(None);
+    }
+    let mut line = buf.as_slice();
+    if let Some(rest) = line.strip_suffix(b"\n") {
+        line = rest.strip_suffix(b"\r").unwrap_or(rest);
+    }
+    std::str::from_utf8(line).map(Some).map_err(|_| {
+        DataError::io(
+            path,
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                "stream did not contain valid UTF-8",
+            ),
+        )
+    })
 }
 
 pub(crate) fn label_token(l: Label) -> String {
@@ -396,6 +438,26 @@ mod tests {
         let err = write_csv(&path, &m, None).unwrap_err();
         assert!(matches!(err, DataError::Io { .. }), "{err:?}");
         assert!(err.to_string().contains("nonexistent-proclus-dir"), "{err}");
+    }
+
+    #[test]
+    fn failed_write_csv_removes_its_tmp() {
+        // The final path is an existing directory: the rename fails
+        // after the staged file was written, fsynced and closed.
+        let dir = tmp("csv-target-is-dir");
+        std::fs::create_dir_all(&dir).unwrap();
+        let m = Matrix::from_rows(&[[1.0, 2.0]], 2);
+        let err = write_csv(&dir, &m, None).unwrap_err();
+        assert!(matches!(err, DataError::Io { .. }), "{err:?}");
+        assert!(!crate::binio::tmp_path(&dir).exists());
+        // A row missing its label fails mid-stream, before the rename.
+        let path = tmp("missing-label.csv");
+        let rows = [(m.row(0), None)];
+        let err = write_csv_rows(&path, 2, true, rows.into_iter()).unwrap_err();
+        assert!(matches!(err, DataError::LengthMismatch { .. }), "{err:?}");
+        assert!(!crate::binio::tmp_path(&path).exists());
+        assert!(!path.exists());
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //! ([`ScenarioSpec::parse`] / [`ScenarioSpec::to_canonical`]) is a
 //! hand-rolled line grammar with a byte-exact round trip.
 
-use crate::binio::tmp_path;
+use crate::binio::write_staged;
 use crate::chunks::encode_chunk;
 use crate::error::DataError;
 use crate::generator::{apportion, apportion_with_floor, choose_dimension_sets, GeneratedCluster};
@@ -542,8 +542,8 @@ impl ScenarioSpec {
         })
     }
 
-    /// Shared crash-safe streaming shell: create `<path>.tmp`, hand a
-    /// `BufWriter` to `fill`, then fsync + rename on success.
+    /// Shared crash-safe streaming shell: validate, then hand the
+    /// buffered `<path>.tmp` of [`write_staged`] to `fill`.
     fn write_streamed<F>(&self, path: &Path, fill: F) -> Result<ScenarioTruth, DataError>
     where
         F: FnOnce(
@@ -553,25 +553,12 @@ impl ScenarioSpec {
     {
         // Validate before touching the filesystem.
         self.validate().map_err(DataError::InvalidSpec)?;
-        let tmp = tmp_path(path);
-        let mut w = BufWriter::new(File::create(&tmp).map_err(|e| DataError::io(&tmp, e))?);
-        let (truth, wrote) = fill(self, &mut w);
-        let truth = truth?;
-        wrote.map_err(|e| DataError::io(&tmp, e))?;
-        let f = w
-            .into_inner()
-            .map_err(|e| DataError::io(&tmp, e.into_error()))?;
-        f.sync_all().map_err(|e| DataError::io(&tmp, e))?;
-        drop(f);
-        std::fs::rename(&tmp, path).map_err(|e| DataError::io(path, e))?;
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                if let Ok(dir) = File::open(parent) {
-                    let _ = dir.sync_all();
-                }
-            }
-        }
-        Ok(truth)
+        write_staged(path, |w, tmp| {
+            let (truth, wrote) = fill(self, w);
+            let truth = truth?;
+            wrote.map_err(|e| DataError::io(tmp, e))?;
+            Ok(truth)
+        })
     }
 
     /// Realize the epoch-0 geometry from the epoch RNG. Draw order is
@@ -1274,7 +1261,7 @@ mod tests {
         let path = dir.join(format!("proclus-scn-prcl-{}.prcl", std::process::id()));
         let spec = small("prcl");
         spec.write_prcl(&path).unwrap();
-        assert!(!tmp_path(&path).exists());
+        assert!(!crate::binio::tmp_path(&path).exists());
         let (m, labels) = crate::binio::read_binary(&path).unwrap();
         let g = spec.generate().unwrap();
         assert_eq!(m, g.points);

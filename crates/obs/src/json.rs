@@ -16,7 +16,7 @@
 //!   the strings `"inf"`, `"-inf"`, and `"nan"`; the parser folds them
 //!   back into numbers on request via [`Json::as_f64`].
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -135,14 +135,14 @@ pub fn write_f64(out: &mut String, v: f64) {
     }
 }
 
-/// Append a `usize` array.
+/// Append a `usize` array, formatting each element in place.
 pub fn write_usize_arr(out: &mut String, xs: &[usize]) {
     out.push('[');
     for (i, x) in xs.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        out.push_str(&format!("{x}"));
+        let _ = write!(out, "{x}");
     }
     out.push(']');
 }

@@ -25,6 +25,7 @@ use proclus_data::chunks::{ChunkReader, CHUNK_MAGIC};
 use proclus_data::{binio, io as data_io};
 use proclus_math::Matrix;
 use proclus_obs::{json, Event};
+use std::fmt::Write as _;
 use std::path::Path;
 
 use crate::error::{status_for_data, status_for_fit, status_for_registry};
@@ -411,7 +412,9 @@ fn assign(state: &AppState, req: &Request, classify: bool) -> Response {
                 out.push(',');
             }
             match l {
-                Some(c) => out.push_str(&c.to_string()),
+                Some(c) => {
+                    let _ = write!(out, "{c}");
+                }
                 None => out.push_str("null"),
             }
         }
@@ -544,6 +547,32 @@ mod tests {
         assert_eq!(handle(&s, &get("/v1/models/99")).status, 404);
         assert_eq!(handle(&s, &get("/v1/models/xyz")).status, 400);
 
+        std::fs::remove_dir_all(&s.config().registry_dir).unwrap();
+    }
+
+    #[test]
+    fn assign_and_classify_bodies_are_pinned() {
+        let (s, _rx) = test_state("pinned");
+        assert_eq!(handle(&s, &post("/v1/datasets/train", &csv())).status, 201);
+        let fit = br#"{"dataset":"train","k":2,"l":2,"seed":7}"#;
+        assert_eq!(handle(&s, &post("/v1/fit", fit)).status, 202);
+        s.run_job(1);
+
+        // Two points near each cluster and one far outside both
+        // spheres of influence, which classify labels `null`.
+        let body = b"x0,x1\n0.05,50\n9.05,-50\n1000,1000\n0.1,50\n9.1,-50\n";
+        let assign = handle(&s, &post("/v1/assign", body));
+        assert_eq!(assign.status, 200);
+        assert_eq!(
+            String::from_utf8_lossy(&assign.body),
+            "{\"generation\":1,\"count\":5,\"assignment\":[1,0,1,1,0]}\n"
+        );
+        let classify = handle(&s, &post("/v1/classify", body));
+        assert_eq!(classify.status, 200);
+        assert_eq!(
+            String::from_utf8_lossy(&classify.body),
+            "{\"generation\":1,\"count\":5,\"labels\":[1,0,null,1,0]}\n"
+        );
         std::fs::remove_dir_all(&s.config().registry_dir).unwrap();
     }
 
