@@ -7,7 +7,7 @@
 //! Further groups measure the round-level optimizations. Every pool
 //! pass runs the columnar block kernels (the pool's only layout), so
 //! these groups time those kernels against their scalar references or
-//! across thread counts, cache and index settings:
+//! across thread counts and cache settings:
 //!
 //! * `round_pass/10k` — the two-sweep scalar reference (`localities`
 //!   then `average_dimension_distances`) vs the pool's fused
@@ -17,13 +17,6 @@
 //!   1, 2, 4, and 8 threads on a paper-scale dataset; the per-round
 //!   speedup at `threads ≥ 4` is the pool's acceptance bar. Override
 //!   the dataset size with `PROCLUS_BENCH_N`.
-//! * `indexed_assignment/*/100k` — one round's fused pass + assignment
-//!   with and without the exact-pruning neighbor index, on two
-//!   fixtures: `projected` (paper-style low-dimensional clusters, where
-//!   the adaptive gates must keep the index near-free) and `separable`
-//!   (high-dimensional clusters, where the bounds genuinely prune);
-//!   also writes `BENCH_5.json` with the exact-distance-evaluation
-//!   reduction and wall-clock delta for both.
 //! * `trace_overhead/2k` — a full `fit` with the default no-op
 //!   recorder vs an explicit `fit_traced(.., &NoopRecorder)` vs a live
 //!   `RingRecorder`. The first two must be indistinguishable (the
@@ -290,167 +283,6 @@ fn bench_cached_vs_uncached_round(c: &mut Criterion) {
     }
 }
 
-/// Indexed vs unindexed round work (fused locality + X pass followed
-/// by assignment) on two paper-scale fixtures: `N` = 100k (override
-/// with `PROCLUS_BENCH_N`), d = 20, k = 5, single-threaded pool.
-///
-/// * `projected` — the paper's regime: clusters live in ~5-dimensional
-///   subspaces, so full-dimensional localities are noise-dominated and
-///   the per-medoid dimension sets are tiny. The index cannot win here;
-///   the adaptive gates (see `proclus_core::index`) must keep its cost
-///   near zero. The interesting number is `speedup ≈ 1`.
-/// * `separable` — the paper's high-dimensional scalability regime:
-///   d = 100, ten clusters spanning 80 dimensions. The per-medoid
-///   dimension sets are ~60 dimensions, so an abandoned evaluation
-///   skips dozens of serial adds — enough to dwarf the data-dependent
-///   branch cost that makes abandonment a net loss at small `|D|` —
-///   and most candidates abandon against a tight incumbent. The
-///   interesting numbers are the exact-evaluation reduction and
-///   `speedup > 1`.
-///
-/// Criterion reports both; each fixture is then measured manually —
-/// wall-clock plus the exact-distance-evaluation counts from
-/// [`PruneStats`] — and written to `BENCH_5.json` (override with
-/// `PROCLUS_BENCH_OUT5`), since the vendored criterion shim has no
-/// JSON output of its own.
-fn bench_indexed_assignment(c: &mut Criterion) {
-    use proclus_core::index::NeighborIndex;
-    use std::sync::Arc;
-
-    let n: usize = std::env::var("PROCLUS_BENCH_N")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(100_000);
-    let rounds: usize = std::env::var("PROCLUS_BENCH_ROUNDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(10);
-    let metric = DistanceKind::Manhattan;
-
-    // (name, dimensionality, clusters, per-cluster dimensionality,
-    // FindDimensions budget).
-    let fixtures = [
-        ("projected", 20usize, 5usize, 5usize, 25usize),
-        ("separable", 100, 10, 80, 600),
-    ];
-    let mut rows = Vec::new();
-    for (name, d, k, cluster_dims, total_dims) in fixtures {
-        let data = SyntheticSpec::new(n, d, k, cluster_dims as f64)
-            .fixed_dims(vec![cluster_dims; k])
-            .seed(7)
-            .generate();
-        let points = &data.points;
-        let candidates: Vec<usize> = (0..points.rows()).step_by(31).collect();
-        let mut rng = StdRng::seed_from_u64(3);
-        let medoids = greedy_select(points, &candidates, k, &metric, &mut rng);
-        let deltas = medoid_deltas(points, &medoids, metric);
-
-        let mut group = c.benchmark_group(format!("indexed_assignment/{name}/{n}"));
-        for (label, indexed) in [("unindexed", false), ("indexed", true)] {
-            group.bench_function(label, |b| {
-                with_pool(points, metric, 1, false, |pool| {
-                    if indexed {
-                        pool.set_index(Some(Arc::new(NeighborIndex::build(points, metric))));
-                    }
-                    b.iter(|| {
-                        let (_locs, x) = pool.fused_round(&medoids, &deltas);
-                        let dims = find_dimensions_from_averages(&x, total_dims, true);
-                        black_box(pool.assign(&medoids, &dims))
-                    })
-                })
-            });
-        }
-        group.finish();
-
-        // One measured pass, alternating unindexed and indexed rounds
-        // on the same pool (index toggled per round) so slow
-        // machine-load drift hits both configurations equally. The
-        // unindexed path evaluates every (point, medoid) pair and
-        // leaves the prune counters untouched, so the indexed path's
-        // evaluation count is the [`PruneStats`] delta.
-        let index = Arc::new(NeighborIndex::build(points, metric));
-        let (unindexed_secs, indexed_secs, indexed_evals) =
-            with_pool(points, metric, 1, false, |pool| {
-                let round = |pool: &mut proclus_core::pool::Pool<'_>| {
-                    let (_locs, x) = pool.fused_round(&medoids, &deltas);
-                    let dims = find_dimensions_from_averages(&x, total_dims, true);
-                    black_box(pool.assign(&medoids, &dims));
-                };
-                // Warm-up both configurations.
-                pool.set_index(None);
-                round(pool);
-                pool.set_index(Some(Arc::clone(&index)));
-                round(pool);
-                let base = pool.prune_stats();
-                let (mut plain_secs, mut idx_secs) = (0.0f64, 0.0f64);
-                for _ in 0..rounds {
-                    pool.set_index(None);
-                    let t = std::time::Instant::now();
-                    round(pool);
-                    plain_secs += t.elapsed().as_secs_f64();
-                    pool.set_index(Some(Arc::clone(&index)));
-                    let t = std::time::Instant::now();
-                    round(pool);
-                    idx_secs += t.elapsed().as_secs_f64();
-                }
-                let stats = pool.prune_stats();
-                let evals = (stats.range_verified + stats.nearest_verified
-                    - base.range_verified
-                    - base.nearest_verified)
-                    / rounds as u64;
-                (plain_secs / rounds as f64, idx_secs / rounds as f64, evals)
-            });
-        let unindexed_evals = 2 * (n * k) as u64;
-        let speedup = unindexed_secs / indexed_secs;
-        let eval_reduction = 1.0 - indexed_evals as f64 / unindexed_evals as f64;
-        eprintln!(
-            "indexed_assignment/{name}/{n}: unindexed {:.1}ms indexed {:.1}ms \
-             speedup {speedup:.2}x eval-reduction {:.1}%",
-            unindexed_secs * 1e3,
-            indexed_secs * 1e3,
-            eval_reduction * 100.0,
-        );
-        rows.push(format!(
-            "    {{\n      \"fixture\": \"{name}\",\n      \
-             \"d\": {d},\n      \
-             \"k\": {k},\n      \
-             \"cluster_dims\": {cluster_dims},\n      \
-             \"unindexed_ms_per_round\": {:.3},\n      \
-             \"indexed_ms_per_round\": {:.3},\n      \
-             \"speedup\": {speedup:.2},\n      \
-             \"exact_evals_unindexed\": {unindexed_evals},\n      \
-             \"exact_evals_indexed\": {indexed_evals},\n      \
-             \"exact_eval_reduction\": {:.4}\n    }}",
-            unindexed_secs * 1e3,
-            indexed_secs * 1e3,
-            eval_reduction,
-        ));
-    }
-
-    let out = std::env::var("PROCLUS_BENCH_OUT5")
-        .unwrap_or_else(|_| concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_5.json").to_string());
-    let json = format!(
-        "{{\n  \"bench\": \"indexed_assignment\",\n  \"n\": {n},\n  \
-         \"rounds\": {rounds},\n  \
-         \"fixtures\": [\n{}\n  ],\n  \
-         \"caveat\": \"wall-clock means over {rounds} identical rounds (fused \
-         locality+X pass and assignment) after one warm-up round, \
-         single-threaded pool, measured in a 1-CPU dev container; \
-         exact_evals count full segmental distance evaluations per round \
-         out of 2*n*k candidate pairs; the projected fixture is the \
-         paper's low-dimensional regime where the adaptive gates disable \
-         pruning (speedup ~1 is the goal), the separable fixture is the \
-         d=100 scalability regime where abandoned evaluations skip \
-         enough work to beat their branch cost\"\n}}\n",
-        rows.join(",\n"),
-    );
-    if let Err(e) = std::fs::write(&out, json) {
-        eprintln!("warning: could not write {out}: {e}");
-    } else {
-        eprintln!("indexed_assignment -> {out}");
-    }
-}
-
 /// The disabled-recorder path must cost nothing: `fit` (which wires in
 /// `NoopRecorder` itself) and an explicit `fit_traced(.., &Noop)` are
 /// the same code path, and both must match the pre-observability
@@ -491,7 +323,6 @@ criterion_group!(
     bench_fused_vs_unfused,
     bench_pooled_round_throughput,
     bench_cached_vs_uncached_round,
-    bench_indexed_assignment,
     bench_trace_overhead
 );
 criterion_main!(benches);

@@ -25,10 +25,11 @@ proclus fit — PROCLUS projected clustering (SIGMOD 1999)
   --no-round-cache  recompute every round from scratch instead of the
                     incremental cross-round cache (results are
                     bit-identical either way; see DESIGN.md §5d)
-  --no-index        skip the exact-pruning neighbor index (sketch +
-                    triangle bounds); every distance is then computed
-                    directly (results are bit-identical either way;
-                    see DESIGN.md §5e)
+  --no-index        skip the exact-pruning neighbor index in the
+                    locality pass (sketch and triangle bounds plus
+                    prefix abandonment); every locality distance is
+                    then computed in full (results are bit-identical
+                    either way; see DESIGN.md §5e)
   --fast-math       opt into the exactness-gated f32 screening fast
                     path in the assignment kernels (results are
                     bit-identical either way; engages where distances

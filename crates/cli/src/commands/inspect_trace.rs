@@ -39,8 +39,10 @@ fn read_to_string(path: &PathBuf) -> Result<String, Box<dyn Error>> {
 }
 
 /// Derived round-cache effectiveness: hits / (hits + recomputes) per
-/// cache layer, from the `cache.*` manifest counters. `None` when the
-/// trace has no cache counters (cache disabled, or a pre-cache trace).
+/// cache layer, from the `cache.*` manifest counters. Each layer whose
+/// two counters are present is rendered, so a manifest written by an
+/// engine with other layers still gets a line. `None` when no layer's
+/// counters are present (cache disabled, or a pre-cache trace).
 fn cache_summary(manifest: &json::Json) -> Option<String> {
     let counter = |name: &str| {
         manifest
@@ -60,51 +62,53 @@ fn cache_summary(manifest: &json::Json) -> Option<String> {
         let pct = h as f64 * 100.0 / total as f64;
         Some(format!("{label} {h}/{total} hits ({pct:.1}%)"))
     };
-    let fused = layer(
-        "fused",
-        "cache.fused_slot_hits",
-        "cache.fused_slot_recomputes",
-    )?;
-    let cols = layer("columns", "cache.column_hits", "cache.column_recomputes")?;
-    let rows = layer(
-        "cluster rows",
-        "cache.cluster_row_hits",
-        "cache.cluster_row_recomputes",
-    )?;
-    Some(format!("round cache: {fused}, {cols}, {rows}"))
+    let layers: Vec<String> = [
+        layer(
+            "fused",
+            "cache.fused_slot_hits",
+            "cache.fused_slot_recomputes",
+        ),
+        layer("columns", "cache.column_hits", "cache.column_recomputes"),
+    ]
+    .into_iter()
+    .flatten()
+    .collect();
+    (!layers.is_empty()).then(|| format!("round cache: {}", layers.join(", ")))
 }
 
 /// Derived neighbor-index effectiveness: pruned / (pruned + verified)
-/// per query family, from the `index.*` manifest counters. `None` when
-/// the trace has no index counters (index disabled, or a pre-index
-/// trace).
+/// over the locality range queries, from the `index.range_*` manifest
+/// counters (an absent one counts as 0). `None` when the trace has none
+/// of them (index disabled, or a pre-index trace).
 fn index_summary(manifest: &json::Json) -> Option<String> {
-    let counter = |name: &str| {
+    let counters = [
+        "index.range_sketch_pruned",
+        "index.range_triangle_pruned",
+        "index.range_prefix_pruned",
+        "index.range_verified",
+    ]
+    .map(|name| {
         manifest
             .get("counters")
             .and_then(|c| c.get(name))
             .and_then(json::Json::as_usize)
-    };
-    let rate = |pruned: usize, verified: usize| -> String {
-        let total = pruned + verified;
-        // No queries of this family ran (e.g. a fit that converged in
-        // 0 rounds): a rate is undefined, not 0%.
-        if total == 0 {
-            return "n/a (0 queries)".to_string();
-        }
+    });
+    if counters.iter().all(Option::is_none) {
+        return None;
+    }
+    let [sketch, triangle, prefix, verified] = counters.map(|c| c.unwrap_or(0));
+    let pruned = sketch + triangle + prefix;
+    let total = pruned + verified;
+    // No range queries ran (e.g. a fit that converged in 0 rounds): a
+    // rate is undefined, not 0%.
+    let rate = if total == 0 {
+        "n/a (0 queries)".to_string()
+    } else {
         let pct = pruned as f64 * 100.0 / total as f64;
         format!("{pruned}/{total} pruned ({pct:.1}%)")
     };
-    let sketch = counter("index.range_sketch_pruned")?;
-    let triangle = counter("index.range_triangle_pruned")?;
-    let prefix = counter("index.range_prefix_pruned").unwrap_or(0);
-    let range_verified = counter("index.range_verified")?;
-    let nearest_pruned = counter("index.nearest_pruned")?;
-    let nearest_verified = counter("index.nearest_verified")?;
     Some(format!(
-        "neighbor index: range {} (sketch {sketch}, triangle {triangle}, prefix {prefix}), nearest {}",
-        rate(sketch + triangle + prefix, range_verified),
-        rate(nearest_pruned, nearest_verified),
+        "neighbor index: range {rate} (sketch {sketch}, triangle {triangle}, prefix {prefix})"
     ))
 }
 
@@ -278,7 +282,7 @@ mod tests {
         // Cache counters surface both raw and as derived hit rates.
         assert!(text.contains("cache.fused_slot_hits"), "{text}");
         assert!(text.contains("round cache: fused "), "{text}");
-        assert!(text.contains("cluster rows "), "{text}");
+        assert!(text.contains(", columns "), "{text}");
         // Index counters surface both raw and as derived prune rates.
         assert!(text.contains("index.range_verified"), "{text}");
         assert!(text.contains("neighbor index: range "), "{text}");
@@ -345,10 +349,8 @@ mod tests {
                 "{\"schema_version\":1,\"events\":0,\"phases\":{},\"counters\":{",
                 "\"cache.fused_slot_hits\":0,\"cache.fused_slot_recomputes\":0,",
                 "\"cache.column_hits\":0,\"cache.column_recomputes\":0,",
-                "\"cache.cluster_row_hits\":0,\"cache.cluster_row_recomputes\":0,",
                 "\"index.range_sketch_pruned\":0,\"index.range_triangle_pruned\":0,",
                 "\"index.range_prefix_pruned\":0,\"index.range_verified\":0,",
-                "\"index.nearest_pruned\":0,\"index.nearest_verified\":0,",
                 "\"fastmath.screened\":0,\"fastmath.excluded\":0,",
                 "\"fastmath.verified\":0}}"
             ),
@@ -362,10 +364,53 @@ mod tests {
         let text = String::from_utf8(buf).unwrap();
         assert!(text.contains("fused n/a (0 lookups)"), "{text}");
         assert!(text.contains("range n/a (0 queries)"), "{text}");
-        assert!(text.contains("nearest n/a (0 queries)"), "{text}");
         assert!(text.contains("fast math: n/a"), "{text}");
         assert!(!text.contains("0.0%"), "zero-total rate leaked: {text}");
         assert!(!text.contains("NaN"), "{text}");
+    }
+
+    /// Manifests written before and after the nearest-medoid pruning
+    /// and the cache's cluster-row layer were removed both get their
+    /// cache and index lines: the summaries render the counters that
+    /// are present and ignore the retired ones (which still appear in
+    /// the raw counter listing).
+    #[test]
+    fn manifests_with_and_without_retired_counters_render_every_line() {
+        let current = concat!(
+            "\"cache.fused_slot_hits\":3,\"cache.fused_slot_recomputes\":1,",
+            "\"cache.column_hits\":1,\"cache.column_recomputes\":3,",
+            "\"index.range_sketch_pruned\":5,\"index.range_triangle_pruned\":2,",
+            "\"index.range_prefix_pruned\":3,\"index.range_verified\":30"
+        );
+        let retired = concat!(
+            "\"cache.cluster_row_hits\":2,\"cache.cluster_row_recomputes\":6,",
+            "\"index.nearest_pruned\":0,\"index.nearest_verified\":40,"
+        );
+        let render = |name: &str, counters: &str| {
+            let dir = tmp(name);
+            std::fs::create_dir_all(&dir).unwrap();
+            let manifest = format!(
+                "{{\"schema_version\":1,\"events\":0,\"phases\":{{}},\"counters\":{{{counters}}}}}"
+            );
+            std::fs::write(dir.join(MANIFEST_FILE), manifest).unwrap();
+            std::fs::write(dir.join(EVENTS_FILE), "").unwrap();
+            let args = Args::parse(toks(&format!("--input {}", dir.display())), &[]).unwrap();
+            let mut buf = Vec::new();
+            run(&args, &mut buf).unwrap();
+            std::fs::remove_dir_all(&dir).ok();
+            String::from_utf8(buf).unwrap()
+        };
+        let cache_line = "round cache: fused 3/4 hits (75.0%), columns 1/4 hits (25.0%)\n";
+        let index_line =
+            "neighbor index: range 10/40 pruned (25.0%) (sketch 5, triangle 2, prefix 3)\n";
+        for (name, counters) in [
+            ("before", format!("{retired}{current}")),
+            ("after", current.to_string()),
+        ] {
+            let text = render(name, &counters);
+            assert!(text.contains(cache_line), "{name}: {text}");
+            assert!(text.contains(index_line), "{name}: {text}");
+        }
     }
 
     /// A real k=1 fit (no swaps possible, rounds end immediately) must

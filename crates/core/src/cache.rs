@@ -26,11 +26,11 @@
 //!   function of its key, so value-keying is exact: the global greedy
 //!   dimension allocation may reshuffle another slot's `Dᵢ` after a
 //!   swap, and that slot's column then misses and recomputes.
-//! * **Cluster-`X` rows** — the per-cluster dimension averages the
-//!   inner refinement consumes, keyed by the slot's medoid plus the
-//!   cluster's membership (tracked as a diff of the previous round's
-//!   assignment — a cluster is touched iff its medoid changed or some
-//!   point entered/left it).
+//!
+//! The per-cluster `X` averages that follow a cached assignment are not
+//! cached: a swap reshuffles almost every cluster's membership, so
+//! [`RoundCache::assign_x`] recomputes them in one full cluster-`X`
+//! pass.
 //!
 //! # Why determinism survives
 //!
@@ -56,13 +56,8 @@
 //! pool seam, not here: subset recomputes of fused slots go through
 //! [`Pool::fused_pass`], which builds a per-pass prune context whenever
 //! an index is installed, so invalidated slots enjoy the same pruning
-//! as a full pass. Cached *distance columns*, by contrast, are always
-//! computed unpruned — a column must be a total function of its
-//! `(mᵢ, Dᵢ)` key (every point's distance, reusable under any future
-//! incumbent), whereas the nearest-medoid pruning bound is only valid
-//! relative to the incumbent of one particular argmin sweep. Hits are
-//! strictly cheaper than any pruned recompute, so the two layers never
-//! compete.
+//! as a full pass. Distance columns are always computed unpruned: the
+//! index answers only the locality range query.
 
 use crate::pool::Pool;
 use std::sync::Arc;
@@ -79,10 +74,6 @@ pub struct CacheStats {
     pub column_hits: u64,
     /// Distance columns recomputed after invalidation.
     pub column_recomputes: u64,
-    /// Cluster-`X` rows served from cache.
-    pub cluster_row_hits: u64,
-    /// Cluster-`X` rows recomputed after invalidation.
-    pub cluster_row_recomputes: u64,
 }
 
 /// One cached fused slot: the locality and `X` row of a `(mᵢ, δᵢ)` pair.
@@ -100,12 +91,6 @@ struct ColumnEntry {
     col: Vec<f64>,
 }
 
-/// A cached cluster-`X` row, valid with respect to [`RoundCache::prev_flat`].
-struct ClusterRow {
-    medoid: usize,
-    x: Vec<f64>,
-}
-
 /// Columns kept per slot: the two dimension sets a round queries
 /// (locality-derived, then cluster-refined).
 const COLUMNS_PER_SLOT: usize = 2;
@@ -119,10 +104,6 @@ pub struct RoundCache {
     enabled: bool,
     fused: Vec<Option<FusedSlot>>,
     columns: Vec<Vec<ColumnEntry>>,
-    cluster_rows: Vec<Option<ClusterRow>>,
-    /// The assignment produced by the previous `assign_x` call — the
-    /// membership baseline the cluster-row diff invalidates against.
-    prev_flat: Option<Vec<usize>>,
     stats: CacheStats,
     round_recomputed: u64,
 }
@@ -138,8 +119,6 @@ impl RoundCache {
             enabled,
             fused: (0..slots).map(|_| None).collect(),
             columns: (0..slots).map(|_| Vec::new()).collect(),
-            cluster_rows: (0..slots).map(|_| None).collect(),
-            prev_flat: None,
             stats: CacheStats::default(),
             round_recomputed: 0,
         }
@@ -240,9 +219,10 @@ impl RoundCache {
     }
 
     /// Assignment fused with the per-cluster `X` averages (the inner
-    /// refinement's input): assignment from cached columns, cluster
-    /// rows diffed against the previous round's membership and
-    /// recomputed only where touched. Bit-identical to
+    /// refinement's input): the assignment from cached columns, then
+    /// one cluster-`X` pass over the clusters it forms. Each row
+    /// accumulates its members in the same block-grouped ascending
+    /// order as the fused kernel, so the result is bit-identical to
     /// [`Pool::assign_x`].
     pub fn assign_x(
         &mut self,
@@ -254,67 +234,9 @@ impl RoundCache {
             return pool.assign_x(medoids, dims);
         }
         pool.note_logical_pass();
-        let k = medoids.len();
         let flat = self.assign_via_columns(pool, medoids, dims);
-
-        // A cluster's X row is stale iff its membership changed (some
-        // point moved in or out — visible in the flat-assignment diff)
-        // or its medoid row moved (a swap landed on the slot).
-        let mut touched = vec![false; k];
-        match &self.prev_flat {
-            Some(prev) if prev.len() == flat.len() => {
-                for (&a, &b) in prev.iter().zip(&flat) {
-                    if a != b {
-                        if a < k {
-                            touched[a] = true;
-                        }
-                        touched[b] = true;
-                    }
-                }
-            }
-            _ => touched.iter_mut().for_each(|t| *t = true),
-        }
-        for (i, t) in touched.iter_mut().enumerate() {
-            if !matches!(&self.cluster_rows[i], Some(r) if r.medoid == medoids[i]) {
-                *t = true;
-            }
-        }
-
-        let stale: Vec<usize> = (0..k).filter(|&i| touched[i]).collect();
-        self.stats.cluster_row_hits += (k - stale.len()) as u64;
-        self.stats.cluster_row_recomputes += stale.len() as u64;
-        if !stale.is_empty() {
-            // Masked assignment: only the stale clusters contribute,
-            // re-indexed to the subset's slots. Each recomputed row
-            // accumulates the same members in the same block-grouped
-            // order as the full fused pass — bit-identical.
-            let mut local = vec![usize::MAX; k];
-            for (j, &slot) in stale.iter().enumerate() {
-                local[slot] = j;
-            }
-            let masked: Vec<Option<usize>> = flat
-                .iter()
-                .map(|&a| (local[a] != usize::MAX).then(|| local[a]))
-                .collect();
-            let sub_m: Vec<usize> = stale.iter().map(|&i| medoids[i]).collect();
-            let rows = pool.cluster_x_pass(&sub_m, Arc::new(masked));
-            for (&slot, row) in stale.iter().zip(rows) {
-                self.cluster_rows[slot] = Some(ClusterRow {
-                    medoid: medoids[slot],
-                    x: row,
-                });
-            }
-        }
-        let x: Vec<Vec<f64>> = self
-            .cluster_rows
-            .iter()
-            .take(k)
-            .map(|r| match r {
-                Some(r) => r.x.clone(),
-                None => Vec::new(), // unreachable: every stale row was filled
-            })
-            .collect();
-        self.prev_flat = Some(flat.clone());
+        let members: Vec<Option<usize>> = flat.iter().map(|&a| Some(a)).collect();
+        let x = pool.cluster_x_pass(medoids, Arc::new(members));
         (flat, x)
     }
 
@@ -375,9 +297,6 @@ impl RoundCache {
         }
         while self.columns.len() < k {
             self.columns.push(Vec::new());
-        }
-        while self.cluster_rows.len() < k {
-            self.cluster_rows.push(None);
         }
     }
 }
@@ -476,9 +395,7 @@ mod tests {
                 for round in 0..6 {
                     // Swap one slot every other round, like the
                     // bad-medoid step; the quiet rounds re-evaluate an
-                    // unchanged vertex (uniform random data reshuffles
-                    // every cluster after a swap, so only these rounds
-                    // can exercise the cluster-row hit path).
+                    // unchanged vertex.
                     if round % 2 == 1 {
                         let slot = round % medoids.len();
                         medoids[slot] = 123 * round + 17;
@@ -507,7 +424,7 @@ mod tests {
             "uncached engine: physical work equals logical"
         );
         // Physical dispatch counts are not directly comparable: a
-        // cached `assign_x` splits into a columns pass plus a masked
+        // cached `assign_x` splits into a columns pass plus a
         // cluster-X pass (two cheap fan-outs instead of one full one),
         // and a subset recompute still fans over every row block. The
         // savings are per-block (fewer medoid slots per pass), which
@@ -518,7 +435,7 @@ mod tests {
             "cached engine must actually skip or split physical passes"
         );
         assert!(
-            stats.fused_slot_hits > 0 && stats.column_hits > 0 && stats.cluster_row_hits > 0,
+            stats.fused_slot_hits > 0 && stats.column_hits > 0,
             "workload must exercise the cache: {stats:?}"
         );
     }

@@ -1,19 +1,23 @@
 //! The exact-pruning neighbor index (ROADMAP item 4).
 //!
-//! Every hill-climbing round spends O(N·k·d) on two queries: the
-//! **range query** behind [`crate::locality::localities`] ("which
-//! points lie within `δᵢ` of medoid `mᵢ` under the full-dimensional
-//! segmental metric?") and the **nearest-medoid query** behind
-//! [`crate::assign::assign_points`] ("which medoid is closest under its
-//! own dimension set?"). This module provides a zero-dependency pruning
-//! index that skips most of the exact segmental-distance evaluations in
-//! those queries **without changing a single result bit**: every bound
-//! is a *certified lower bound* on the exact distance, so it can only
-//! rule out candidates that provably cannot qualify — the surviving
-//! candidate superset is always verified by the exact evaluation the
-//! unindexed code would have run, in the same order, producing the same
-//! bits (including the `X` accumulations of the fused kernels, which
-//! add exactly the same member rows in the same ascending order).
+//! Every hill-climbing round spends O(N·k·d) on the **range query**
+//! behind [`crate::locality::localities`]: "which points lie within
+//! `δᵢ` of medoid `mᵢ` under the full-dimensional segmental metric?"
+//! This module provides a zero-dependency pruning index that skips most
+//! of the exact segmental-distance evaluations in that query **without
+//! changing a single result bit**: every bound is a *certified lower
+//! bound* on the exact distance, so it can only rule out candidates
+//! that provably cannot qualify — the surviving candidate superset is
+//! always verified by the exact evaluation the unindexed code would
+//! have run, in the same order, producing the same bits (including the
+//! `X` accumulations of the fused kernel, which add exactly the same
+//! member rows in the same ascending order).
+//!
+//! The index answers nothing else. The assignment query ("which medoid
+//! is closest under its own dimension set?") restricts each distance to
+//! a per-medoid subspace `Dᵢ`, and a full-dimensional sketch cannot
+//! bound a subspace distance (a restricted distance can be arbitrarily
+//! smaller than any full-dimensional functional).
 //!
 //! # Sketch table (range query)
 //!
@@ -84,41 +88,31 @@
 //! the point falls through to the exact evaluation — degenerate data
 //! keeps the exact path's semantics automatically.
 //!
-//! # Nearest-medoid query (monotone prefix bound)
+//! # Prefix abandonment
 //!
-//! The per-medoid dimension sets `Dᵢ` change every round, so the
-//! full-dimensional sketches cannot bound the *subspace* segmental
-//! distance (a restricted distance can be arbitrarily smaller than any
-//! full-dimensional functional). The assignment kernels prune with an
-//! exact device instead: [`segmental_bounded`] accumulates the
-//! segmental distance dimension by dimension and abandons the candidate
-//! as soon as the **prefix accumulator already certifies the final
-//! value cannot beat the current best**. IEEE-754 addition of
+//! A candidate that survives the whole-pair bounds is evaluated
+//! dimension by dimension, and abandoned as soon as the **prefix
+//! accumulator already certifies `dist > δᵢ`**. IEEE-754 addition of
 //! non-negative terms is monotone (`fl(a + b) ≥ a` for `b ≥ 0`,
 //! because `a` is representable and rounding-to-nearest of a value
 //! `≥ a` cannot fall below `a`), and division by a positive constant,
 //! `sqrt`, and `max` are monotone too, so the final value is always `≥`
-//! every prefix value. A skipped candidate satisfies `dist ≥ best`,
-//! which under the strict `<` tie-break rule ("ties go to the lower
-//! cluster index") is precisely "cannot win", so winners are
-//! bit-identical to the full evaluation.
+//! every prefix value. An abandoned candidate is therefore certainly a
+//! non-member, and a member's evaluation never abandons.
 //!
 //! To keep the accumulation loop at one add per dimension plus one
 //! compare per [`PRUNE_CHUNK`] dimensions (no division or square root
 //! inside the loop, no compare on the add's dependency chain), the
-//! comparison runs in **raw accumulator units**: [`raw_ge_threshold`]
-//! converts a segmental-value threshold `t` into a raw threshold `R` —
-//! the plain sum for
-//! Manhattan, the sum of squares for Euclidean, the running max for
+//! comparison runs in **raw accumulator units**: [`raw_gt_threshold`]
+//! converts the radius `δᵢ` into a raw threshold `R` — the plain sum
+//! for Manhattan, the sum of squares for Euclidean, the running max for
 //! Chebyshev — such that `prefix_raw ≥ R` certifies
-//! `final_segmental ≥ t`. For Chebyshev the conversion is exact
-//! (`R = t`; the accumulator *is* the segmental value). For the other
-//! two metrics `R` carries a small upward rounding margin, so the
-//! conversion can only make pruning *more* conservative, never unsound;
-//! thresholds in the deep-subnormal range, where relative-error
-//! reasoning breaks down, are refused outright (`R = ∞`, no pruning).
-//! [`raw_gt_threshold`] is the strict-inequality twin used where the
-//! decided comparison is `dist ≤ radius` rather than `dist < best`.
+//! `final_segmental > δᵢ`. For Chebyshev the conversion is exact (the
+//! accumulator *is* the segmental value). For the other two metrics `R`
+//! carries a small upward rounding margin, so the conversion can only
+//! make pruning *more* conservative, never unsound; thresholds in the
+//! deep-subnormal range, where relative-error reasoning breaks down,
+//! are refused outright (`R = ∞`, no pruning).
 //!
 //! # Observability
 //!
@@ -164,11 +158,6 @@ pub struct PruneStats {
     /// Range-query candidates that survived the bounds and were
     /// verified by an exact segmental-distance evaluation.
     pub range_verified: u64,
-    /// Nearest-medoid candidates abandoned early by the monotone
-    /// prefix bound.
-    pub nearest_pruned: u64,
-    /// Nearest-medoid candidates evaluated to completion.
-    pub nearest_verified: u64,
 }
 
 impl PruneStats {
@@ -178,8 +167,6 @@ impl PruneStats {
         self.range_triangle_pruned += other.range_triangle_pruned;
         self.range_prefix_pruned += other.range_prefix_pruned;
         self.range_verified += other.range_verified;
-        self.nearest_pruned += other.nearest_pruned;
-        self.nearest_verified += other.nearest_verified;
     }
 }
 
@@ -401,18 +388,6 @@ pub const PREFIX_KEEP_DEN: u64 = 4;
 /// elements of savings per abandoned pair.
 pub const PRUNE_CHUNK: usize = 4;
 
-/// Minimum dimension-set size for which the nearest-medoid kernels use
-/// the bounded evaluation at all. An abandonment can skip at most
-/// `len − PRUNE_CHUNK` element operations, while the bounded form pays
-/// a fixed per-candidate toll (threshold multiply, chunk bookkeeping,
-/// boundary compares) — below roughly two chunks of potential savings
-/// the toll always exceeds the win and the exact evaluation is cheaper
-/// than reasoning about skipping it. The paper's typical `l` (≈ 3–7)
-/// lands below this cutoff on purpose: tiny projections are evaluated
-/// plainly, and the device engages exactly when evaluations are
-/// expensive enough to be worth abandoning.
-pub const NEAREST_MIN_DIMS: usize = 2 * PRUNE_CHUNK + 1;
-
 /// Raw accumulators below the normal floating-point range are refused
 /// by the threshold conversions (no pruning) — absolute rounding error
 /// in the subnormal regime is not covered by relative-error margins.
@@ -440,82 +415,23 @@ fn next_up(x: f64) -> f64 {
     }
 }
 
-/// Convert a segmental-value threshold `t` into a **raw accumulator**
-/// threshold `R` for [`segmental_bounded`]: whenever the running
+/// Convert a segmental-value radius `t` into a **raw accumulator**
+/// threshold `R` for the prefix-abandonment device: whenever the running
 /// accumulator (Manhattan sum, Euclidean sum of squares, Chebyshev
 /// running max) over `len` dimensions reaches `R`, the final segmental
-/// value is certified `≥ t`.
+/// value is certified strictly `> t`. Used where the decided comparison
+/// is a `dist ≤ radius` membership test.
 ///
-/// * `t ≤ 0` → `R = 0`: every segmental value is `≥ 0 ≥ t` (and a NaN
+/// * `t = NaN` or `+∞` → `R = NaN`, which no accumulator ever satisfies:
+///   no value is strictly greater, so pruning must never fire.
+/// * `t < 0` → `R = 0`: every segmental value is `≥ 0 > t` (and a NaN
 ///   accumulator never satisfies `≥ 0`, preserving NaN fall-through).
-/// * `t = ∞` → `R = ∞`: only an infinite accumulator triggers, and an
-///   infinite accumulator does force an infinite final value.
-/// * `t = NaN` → `R = ∞` is still sound (an infinite accumulator means
-///   an infinite final value, but a NaN threshold comes from NaN state
-///   the caller's comparisons already treat as "never wins").
-/// * Deep-subnormal conversions (below [`RAW_FLOOR`]) → `R = ∞`:
-///   pruning is refused rather than argued about.
-#[inline]
-pub fn raw_ge_threshold(metric: DistanceKind, t: f64, len: usize) -> f64 {
-    raw_tbase(metric, t) * raw_len_factor(metric, len)
-}
-
-/// The length-independent half of [`raw_ge_threshold`], for argmin
-/// loops that compare one incumbent threshold against many candidate
-/// dimension sets: precompute `raw_tbase(metric, best)` once per
-/// incumbent update and `raw_len_factor(metric, di.len())` once per
-/// slot, and the per-candidate threshold is the single multiply
-/// `tbase * len_factor`. The margin is applied here (to `t` rather
-/// than to `t·len`); the extra rounding of the deferred multiply is
-/// covered by the same [`RAW_MARGIN`] headroom. The special values
-/// survive the multiply: `∞ · len = ∞`, `0 · len = 0`, and for
-/// Chebyshev the factor is exactly `1.0`.
-#[inline]
-pub fn raw_tbase(metric: DistanceKind, t: f64) -> f64 {
-    if t.is_nan() {
-        return f64::INFINITY;
-    }
-    if t <= 0.0 {
-        return 0.0;
-    }
-    match metric {
-        // The accumulator *is* the final value prefix: exact, no margin.
-        DistanceKind::Chebyshev => t,
-        DistanceKind::Manhattan => {
-            if t < RAW_FLOOR {
-                f64::INFINITY
-            } else {
-                t * RAW_MARGIN
-            }
-        }
-        DistanceKind::Euclidean => {
-            let sq = t * t;
-            if sq < RAW_FLOOR {
-                f64::INFINITY
-            } else {
-                sq * RAW_MARGIN
-            }
-        }
-    }
-}
-
-/// The per-dimension-set half of [`raw_ge_threshold`]: `len` as a
-/// float for the sum-style accumulators, `1.0` for Chebyshev (whose
-/// accumulator carries no length normalization).
-#[inline]
-pub fn raw_len_factor(metric: DistanceKind, len: usize) -> f64 {
-    match metric {
-        DistanceKind::Chebyshev => 1.0,
-        DistanceKind::Manhattan | DistanceKind::Euclidean => len.max(1) as f64,
-    }
-}
-
-/// Strict-inequality twin of [`raw_ge_threshold`]: accumulator `≥ R`
-/// certifies the final segmental value is strictly `> t`. Used where
-/// the decided comparison is a `dist ≤ radius` membership test. Returns
-/// NaN (which no accumulator ever satisfies) when `t` is NaN or `+∞` —
-/// no finite-or-infinite value is strictly greater, so pruning must
-/// never fire.
+/// * Otherwise the conversion certifies `final ≥ next_up(t) > t`. The
+///   margin is applied to `next_up(t)` before the multiply by `len`;
+///   the extra rounding of that multiply is covered by the same
+///   [`RAW_MARGIN`] headroom. Deep-subnormal conversions (below
+///   [`RAW_FLOOR`]) → `R = ∞`: pruning is refused rather than argued
+///   about.
 #[inline]
 pub fn raw_gt_threshold(metric: DistanceKind, t: f64, len: usize) -> f64 {
     if t.is_nan() || t == f64::INFINITY {
@@ -524,87 +440,25 @@ pub fn raw_gt_threshold(metric: DistanceKind, t: f64, len: usize) -> f64 {
     if t < 0.0 {
         return 0.0;
     }
-    raw_ge_threshold(metric, next_up(t), len)
-}
-
-/// Evaluate `metric.eval_segmental(a, b, dims)` incrementally,
-/// abandoning the candidate as soon as the running raw accumulator
-/// reaches `raw_threshold` (converted from a segmental-value threshold
-/// by [`raw_ge_threshold`] / [`raw_gt_threshold`]; the prefix
-/// accumulator is a certified lower bound on the final accumulator —
-/// see the module docs for the IEEE monotonicity argument). Returns
-/// `None` on abandonment, otherwise `Some(exact)` with a value
-/// bit-identical to the plain evaluation (same summation order, same
-/// final normalization).
-///
-/// The threshold is checked at [`PRUNE_CHUNK`] boundaries (and after
-/// the final element), not per element: per-element compares sit on
-/// the accumulator's dependency chain and nearly double the cost of
-/// evaluations that never abandon, while a chunk-boundary check gives
-/// up at most `PRUNE_CHUNK − 1` elements of savings. The final check
-/// runs even when the accumulator is complete — abandoning there is
-/// still sound (the "prefix" is the whole sum) and saves the
-/// normalization, and it keeps the device live for dimension sets
-/// shorter than one chunk.
-///
-/// A NaN `raw_threshold` never prunes; a NaN accumulator (NaN data)
-/// never satisfies the `≥` comparison and falls through to the exact
-/// NaN result, preserving the unpruned kernels' NaN semantics.
-#[inline]
-pub fn segmental_bounded(
-    metric: DistanceKind,
-    a: &[f64],
-    b: &[f64],
-    dims: &[usize],
-    raw_threshold: f64,
-) -> Option<f64> {
-    if dims.is_empty() {
-        // Mirror `eval_segmental`'s empty-projection convention exactly
-        // (0.0, not 0/0) so the bounded form is a drop-in replacement.
-        return if 0.0 >= raw_threshold {
-            None
-        } else {
-            Some(0.0)
-        };
-    }
-    let len = dims.len() as f64;
+    let t = next_up(t);
+    let len = len.max(1) as f64;
     match metric {
+        // The accumulator *is* the final value prefix: exact, no margin.
+        DistanceKind::Chebyshev => t,
         DistanceKind::Manhattan => {
-            let mut sum = 0.0f64;
-            for chunk in dims.chunks(PRUNE_CHUNK) {
-                for &j in chunk {
-                    sum += (a[j] - b[j]).abs();
-                }
-                if sum >= raw_threshold {
-                    return None;
-                }
+            if t < RAW_FLOOR {
+                f64::INFINITY
+            } else {
+                t * RAW_MARGIN * len
             }
-            Some(sum / len)
         }
         DistanceKind::Euclidean => {
-            let mut sum = 0.0f64;
-            for chunk in dims.chunks(PRUNE_CHUNK) {
-                for &j in chunk {
-                    let diff = a[j] - b[j];
-                    sum += diff * diff;
-                }
-                if sum >= raw_threshold {
-                    return None;
-                }
+            let sq = t * t;
+            if sq < RAW_FLOOR {
+                f64::INFINITY
+            } else {
+                sq * RAW_MARGIN * len
             }
-            Some((sum / len).sqrt())
-        }
-        DistanceKind::Chebyshev => {
-            let mut worst = 0.0f64;
-            for chunk in dims.chunks(PRUNE_CHUNK) {
-                for &j in chunk {
-                    worst = worst.max((a[j] - b[j]).abs());
-                }
-                if worst >= raw_threshold {
-                    return None;
-                }
-            }
-            Some(worst)
         }
     }
 }
@@ -664,72 +518,48 @@ mod tests {
         }
     }
 
-    /// An unreachable threshold never abandons, and completing the
-    /// evaluation reproduces `eval_segmental` bit for bit.
+    /// A converted radius only ever certifies a true non-member: across
+    /// metrics and radii straddling the exact distance, whenever the
+    /// complete raw accumulator (the largest value any prefix reaches)
+    /// meets `raw_gt_threshold(radius)`, the exact segmental distance is
+    /// strictly `> radius`.
     #[test]
-    fn segmental_bounded_completes_bit_identically() {
-        for metric in [
-            DistanceKind::Manhattan,
-            DistanceKind::Euclidean,
-            DistanceKind::Chebyshev,
-        ] {
-            let points = random_points(60, 12, 5);
-            let dims = vec![0usize, 3, 5, 7, 11];
-            for p in 0..points.rows() {
-                for q in 0..points.rows() {
-                    let exact = metric.eval_segmental(points.row(p), points.row(q), &dims);
-                    let full =
-                        segmental_bounded(metric, points.row(p), points.row(q), &dims, f64::NAN);
-                    assert_eq!(full.map(f64::to_bits), Some(exact.to_bits()), "{metric:?}");
-                }
-            }
-        }
-    }
-
-    /// Abandoning against a converted threshold is equivalent to the
-    /// full evaluation's comparison: whenever the bounded form returns
-    /// `None` under `raw_ge_threshold(best)`, the exact distance really
-    /// is `>= best` (and under `raw_gt_threshold(radius)`, strictly
-    /// `> radius`).
-    #[test]
-    fn segmental_bounded_skips_only_losers() {
+    fn raw_gt_threshold_certifies_only_non_members() {
         for metric in [
             DistanceKind::Manhattan,
             DistanceKind::Euclidean,
             DistanceKind::Chebyshev,
         ] {
             let points = random_points(80, 8, 13);
-            let dims = vec![1usize, 2, 4, 6];
+            let mut abandoned = 0usize;
             for p in 0..points.rows() {
                 for q in (0..points.rows()).step_by(7) {
-                    let exact = metric.eval_segmental(points.row(p), points.row(q), &dims);
+                    let (a, b) = (points.row(p), points.row(q));
+                    let diffs = a.iter().zip(b).map(|(x, y)| (x - y).abs());
+                    let raw = match metric {
+                        DistanceKind::Manhattan => diffs.sum::<f64>(),
+                        DistanceKind::Euclidean => diffs.map(|v| v * v).sum(),
+                        DistanceKind::Chebyshev => diffs.fold(0.0, f64::max),
+                    };
+                    let exact = metric.eval_segmental(a, b, &(0..8).collect::<Vec<_>>());
                     for t in [exact * 0.3, exact * 0.9999, exact, exact * 1.5] {
-                        let rt = raw_ge_threshold(metric, t, dims.len());
-                        match segmental_bounded(metric, points.row(p), points.row(q), &dims, rt) {
-                            Some(v) => assert_eq!(v.to_bits(), exact.to_bits()),
-                            None => assert!(
-                                exact >= t,
-                                "{metric:?}: skipped but exact {exact} < threshold {t}"
-                            ),
-                        }
-                        let rt = raw_gt_threshold(metric, t, dims.len());
-                        match segmental_bounded(metric, points.row(p), points.row(q), &dims, rt) {
-                            Some(v) => assert_eq!(v.to_bits(), exact.to_bits()),
-                            None => assert!(
+                        if raw >= raw_gt_threshold(metric, t, a.len()) {
+                            abandoned += 1;
+                            assert!(
                                 exact > t,
-                                "{metric:?}: skipped but exact {exact} <= radius {t}"
-                            ),
+                                "{metric:?}: certified but exact {exact} <= radius {t}"
+                            );
                         }
                     }
                 }
             }
+            assert!(abandoned > 0, "{metric:?}: the threshold never fired");
         }
     }
 
-    /// Threshold-conversion edge cases: `t ≤ 0` prunes immediately for
-    /// the `≥` form, NaN / `+∞` radii never prune the strict form, the
-    /// deep-subnormal range refuses to prune, and the Chebyshev
-    /// conversion is exact.
+    /// Threshold-conversion edge cases: NaN / `+∞` radii never prune,
+    /// negative radii prune immediately, the deep-subnormal range
+    /// refuses to prune, and the Chebyshev conversion is exact.
     #[test]
     fn raw_threshold_edge_cases() {
         for metric in [
@@ -737,18 +567,6 @@ mod tests {
             DistanceKind::Euclidean,
             DistanceKind::Chebyshev,
         ] {
-            assert_eq!(raw_ge_threshold(metric, 0.0, 5), 0.0, "{metric:?}");
-            assert_eq!(raw_ge_threshold(metric, -1.0, 5), 0.0, "{metric:?}");
-            assert_eq!(
-                raw_ge_threshold(metric, f64::NAN, 5),
-                f64::INFINITY,
-                "{metric:?}"
-            );
-            assert_eq!(
-                raw_ge_threshold(metric, f64::INFINITY, 5),
-                f64::INFINITY,
-                "{metric:?}"
-            );
             assert!(raw_gt_threshold(metric, f64::NAN, 5).is_nan(), "{metric:?}");
             assert!(
                 raw_gt_threshold(metric, f64::INFINITY, 5).is_nan(),
@@ -758,25 +576,28 @@ mod tests {
         }
         // Subnormal thresholds are refused for the normalized metrics…
         assert_eq!(
-            raw_ge_threshold(DistanceKind::Manhattan, 1e-300, 4),
+            raw_gt_threshold(DistanceKind::Manhattan, 1e-300, 4),
             f64::INFINITY
         );
         assert_eq!(
-            raw_ge_threshold(DistanceKind::Euclidean, 1e-200, 4),
+            raw_gt_threshold(DistanceKind::Euclidean, 1e-200, 4),
             f64::INFINITY
         );
         // …while Chebyshev needs no margin at all: the accumulator is
         // the segmental value itself.
-        assert_eq!(raw_ge_threshold(DistanceKind::Chebyshev, 1e-300, 4), 1e-300);
+        assert_eq!(
+            raw_gt_threshold(DistanceKind::Chebyshev, 1e-300, 4),
+            next_up(1e-300)
+        );
         assert_eq!(
             raw_gt_threshold(DistanceKind::Chebyshev, 0.0, 4),
             f64::from_bits(1)
         );
         // Finite positive thresholds sit strictly above the real
         // product, so the conversion can only under-prune.
-        let rt = raw_ge_threshold(DistanceKind::Manhattan, 2.5, 4);
+        let rt = raw_gt_threshold(DistanceKind::Manhattan, 2.5, 4);
         assert!(rt > 2.5 * 4.0);
-        let rt = raw_ge_threshold(DistanceKind::Euclidean, 2.5, 4);
+        let rt = raw_gt_threshold(DistanceKind::Euclidean, 2.5, 4);
         assert!(rt > 2.5 * 2.5 * 4.0);
     }
 
@@ -804,11 +625,6 @@ mod tests {
                 );
             }
         }
-        // A NaN accumulator never satisfies a `>=` threshold: no skip,
-        // even against the always-prunable threshold 0.
-        let rt = raw_ge_threshold(metric, 0.0, 2);
-        let got = segmental_bounded(metric, points.row(1), points.row(0), &[0, 1], rt);
-        assert!(got.is_some_and(f64::is_nan));
     }
 
     /// The index build is deterministic and independent of the fit
@@ -829,8 +645,6 @@ mod tests {
             range_triangle_pruned: 2,
             range_prefix_pruned: 6,
             range_verified: 3,
-            nearest_pruned: 4,
-            nearest_verified: 5,
         };
         a.merge(a);
         assert_eq!(
@@ -840,8 +654,6 @@ mod tests {
                 range_triangle_pruned: 4,
                 range_prefix_pruned: 12,
                 range_verified: 6,
-                nearest_pruned: 8,
-                nearest_verified: 10,
             }
         );
     }

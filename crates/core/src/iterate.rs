@@ -176,8 +176,6 @@ fn record_index_measurements(rec: &dyn Recorder, pool: &Pool<'_>) {
     rec.counter("index.range_triangle_pruned", stats.range_triangle_pruned);
     rec.counter("index.range_prefix_pruned", stats.range_prefix_pruned);
     rec.counter("index.range_verified", stats.range_verified);
-    rec.counter("index.nearest_pruned", stats.nearest_pruned);
-    rec.counter("index.nearest_verified", stats.nearest_verified);
 }
 
 /// `f32` fast-path effectiveness → `fastmath.*` counters (manifest
@@ -227,8 +225,6 @@ fn record_cache_measurements(rec: &dyn Recorder, cache: &RoundCache) {
     rec.counter("cache.fused_slot_recomputes", stats.fused_slot_recomputes);
     rec.counter("cache.column_hits", stats.column_hits);
     rec.counter("cache.column_recomputes", stats.column_recomputes);
-    rec.counter("cache.cluster_row_hits", stats.cluster_row_hits);
-    rec.counter("cache.cluster_row_recomputes", stats.cluster_row_recomputes);
 }
 
 /// Emit `fit_end` for a successful fit.

@@ -16,9 +16,9 @@
 //! | cluster `X` | [`cluster_x_block_columnar`] | `average_dimension_distances` |
 //! | refinement reassignment | [`refine_assign_block_columnar`] | the loop in [`crate::refine::refine_opt`] |
 //!
-//! With the neighbor index installed the locality and assignment-style
-//! passes run a `*_pruned` variant instead (see below), whose gate-off
-//! tail is the same columnar kernel.
+//! With the neighbor index installed the locality pass runs
+//! [`fused_block_pruned`] instead (see below), whose gate-off tail is
+//! the same columnar loop.
 //!
 //! # The fused pass
 //!
@@ -50,25 +50,22 @@
 //! localities, `X` sums, dimension sets, and assignments. The `X`
 //! reference walks the same tiling, so it equals the merged sums too.
 //!
-//! # Pruned variants
+//! # The pruned fused pass
 //!
-//! Each assignment-style kernel has a `*_pruned` variant that consults
-//! the neighbor index ([`crate::index`]) to skip exact evaluations whose
-//! outcome is already decided — a certified lower bound above the
-//! locality radius (range queries) or a monotone prefix value at or
-//! above the current best (nearest-medoid queries). Pruning never
-//! changes which evaluations *matter*: a pruned candidate is provably a
-//! non-member / non-winner, every surviving evaluation runs the exact
-//! code in the exact order, and the `X` accumulations add exactly the
-//! member rows the unpruned kernel would add. The pruned kernels are
-//! therefore bit-identical to the columnar kernels (asserted by the
-//! agreement tests below), and the per-block [`PruneStats`] they fill
+//! [`fused_block_pruned`] consults the neighbor index ([`crate::index`])
+//! to skip exact evaluations whose outcome is already decided: a
+//! certified lower bound above the locality radius `δᵢ`, or a monotone
+//! prefix value that already certifies `dist > δᵢ`. A pruned candidate
+//! is provably a non-member, every surviving evaluation runs the exact
+//! code in the exact order, and the `X` accumulation adds exactly the
+//! member rows the unpruned kernel would add. The pruned kernel is
+//! therefore bit-identical to [`fused_block_columnar`] (asserted by the
+//! agreement tests below), and the per-block [`PruneStats`] it fills
 //! count work saved, not results changed.
 
 use crate::index::{
-    raw_gt_threshold, raw_len_factor, raw_tbase, segmental_bounded, FusedPruneCtx, PruneStats,
-    NEAREST_MIN_DIMS, PREFIX_KEEP_DEN, PREFIX_KEEP_NUM, PROBE_DISABLE_SHIFT, PROBE_POINTS,
-    PRUNE_CHUNK,
+    raw_gt_threshold, FusedPruneCtx, PruneStats, PREFIX_KEEP_DEN, PREFIX_KEEP_NUM,
+    PROBE_DISABLE_SHIFT, PROBE_POINTS, PRUNE_CHUNK,
 };
 use crate::layout::{FastMathStats, TileView, FAST_MATH_TOLERANCE_SCALE};
 use proclus_math::{DistanceKind, Matrix};
@@ -258,9 +255,8 @@ pub fn merge_cluster_x(partials: Vec<Vec<Vec<f64>>>, counts: &[usize], d: usize)
 /// raw value, abandoning as soon as the prefix accumulator reaches
 /// `raw_threshold` — a raw-unit encoding of "the final distance is
 /// certainly `> δᵢ`" (see [`crate::index::raw_gt_threshold`]). The
-/// threshold is checked at [`PRUNE_CHUNK`] boundaries, like
-/// [`segmental_bounded`], to keep the compare off the accumulator's
-/// per-element dependency chain. On completion the buffer *and* the
+/// threshold is checked at [`PRUNE_CHUNK`] boundaries to keep the
+/// compare off the accumulator's per-element dependency chain. On completion the buffer *and* the
 /// returned distance are bit-identical to the plain fill +
 /// [`segmental_from_diffs`]: same element order, same summation order,
 /// `|x|·|x|` equals `x·x` bitwise.
@@ -424,281 +420,6 @@ pub fn fused_block_pruned(
         }
     }
     FusedPartial { locs, xsums }
-}
-
-/// [`assign_block_columnar`] with monotone prefix pruning: a
-/// candidate's evaluation is abandoned once its running segmental
-/// prefix reaches the incumbent best distance — the prefix is a
-/// certified lower bound (see [`crate::index`]), and `prefix ≥ best`
-/// already decides the strict `<` comparison against it. Winners are
-/// bit-identical.
-pub fn assign_block_pruned(
-    tile: &TileView<'_>,
-    points: &Matrix,
-    metric: DistanceKind,
-    medoids: &[usize],
-    dims: &[Vec<usize>],
-    stats: &mut PruneStats,
-    mut fast: Option<&mut FastMathStats>,
-) -> Vec<usize> {
-    let (lo, hi) = (tile.lo(), tile.hi());
-    // When every projection is tiny, evaluating is cheaper than
-    // reasoning about abandoning (see `NEAREST_MIN_DIMS`) — run the
-    // columnar kernel unchanged and count everything as verified.
-    if dims.iter().all(|di| di.len() < NEAREST_MIN_DIMS) {
-        stats.nearest_verified += ((hi - lo) * medoids.len()) as u64;
-        return assign_block_columnar(tile, points, metric, medoids, dims, fast);
-    }
-    // Hoisted threshold halves: the per-candidate raw threshold is the
-    // single multiply `tbase · lens[i]` (see `raw_tbase`).
-    let lens: Vec<f64> = dims
-        .iter()
-        .map(|di| raw_len_factor(metric, di.len()))
-        .collect();
-    // Adaptive gate: probe the first PROBE_POINTS rows with abandonment
-    // enabled, then keep it only when most reached evaluations abandon
-    // (see `crate::index::PREFIX_KEEP_NUM`). Only slots with large
-    // projections ever consult the device.
-    let big_slots = dims
-        .iter()
-        .filter(|di| di.len() >= NEAREST_MIN_DIMS)
-        .count() as u64;
-    let probe_end = (lo + PROBE_POINTS).min(hi);
-    let base_pruned = stats.nearest_pruned;
-    let mut out = Vec::with_capacity(hi - lo);
-    for p in lo..hi {
-        if p == probe_end {
-            let abandoned = stats.nearest_pruned - base_pruned;
-            let reached = ((probe_end - lo) as u64) * big_slots;
-            if abandoned * PREFIX_KEEP_DEN < reached * PREFIX_KEEP_NUM {
-                // Abandonment is not paying for its branches: hand the
-                // rest of the block to the columnar loop.
-                stats.nearest_verified += ((hi - p) * medoids.len()) as u64;
-                assign_range_columnar(
-                    tile,
-                    points,
-                    metric,
-                    medoids,
-                    dims,
-                    p,
-                    hi,
-                    &mut out,
-                    fast.as_deref_mut(),
-                );
-                return out;
-            }
-        }
-        let row = points.row(p);
-        let mut best = 0usize;
-        let mut best_dist = f64::INFINITY;
-        // raw_tbase(metric, ∞) = ∞ for every metric.
-        let mut tbase = f64::INFINITY;
-        for (i, ((&m, di), &lf)) in medoids.iter().zip(dims).zip(&lens).enumerate() {
-            // Tiny projections are cheaper to evaluate than to reason
-            // about abandoning (see `NEAREST_MIN_DIMS`).
-            let verdict = if di.len() < NEAREST_MIN_DIMS {
-                Some(metric.eval_segmental(row, points.row(m), di))
-            } else {
-                segmental_bounded(metric, row, points.row(m), di, tbase * lf)
-            };
-            match verdict {
-                Some(dist) => {
-                    stats.nearest_verified += 1;
-                    if dist < best_dist {
-                        best_dist = dist;
-                        best = i;
-                        tbase = raw_tbase(metric, dist);
-                    }
-                }
-                None => stats.nearest_pruned += 1,
-            }
-        }
-        out.push(best);
-    }
-    out
-}
-
-/// [`assign_x_block_columnar`] with the same prefix pruning as
-/// [`assign_block_pruned`]. The `X` accumulation only ever reads the
-/// *winning* medoid's full-dimensional differences, which are computed
-/// outside the pruned comparison, so the sums are untouched by pruning.
-pub fn assign_x_block_pruned(
-    tile: &TileView<'_>,
-    points: &Matrix,
-    metric: DistanceKind,
-    medoids: &[usize],
-    dims: &[Vec<usize>],
-    stats: &mut PruneStats,
-    mut fast: Option<&mut FastMathStats>,
-) -> AssignXPartial {
-    let (lo, hi) = (tile.lo(), tile.hi());
-    if dims.iter().all(|di| di.len() < NEAREST_MIN_DIMS) {
-        stats.nearest_verified += ((hi - lo) * medoids.len()) as u64;
-        return assign_x_block_columnar(tile, points, metric, medoids, dims, fast);
-    }
-    let d = points.cols();
-    let lens: Vec<f64> = dims
-        .iter()
-        .map(|di| raw_len_factor(metric, di.len()))
-        .collect();
-    let big_slots = dims
-        .iter()
-        .filter(|di| di.len() >= NEAREST_MIN_DIMS)
-        .count() as u64;
-    let probe_end = (lo + PROBE_POINTS).min(hi);
-    let base_pruned = stats.nearest_pruned;
-    let mut xsums = vec![vec![0.0; d]; medoids.len()];
-    let mut assignment = Vec::with_capacity(hi - lo);
-    for p in lo..hi {
-        if p == probe_end {
-            let abandoned = stats.nearest_pruned - base_pruned;
-            let reached = ((probe_end - lo) as u64) * big_slots;
-            if abandoned * PREFIX_KEEP_DEN < reached * PREFIX_KEEP_NUM {
-                // Hand the rest of the block to the columnar loop,
-                // continuing the same accumulators so the `X`
-                // summation order stays bit-identical.
-                stats.nearest_verified += ((hi - p) * medoids.len()) as u64;
-                assign_x_range_columnar(
-                    tile,
-                    points,
-                    metric,
-                    medoids,
-                    dims,
-                    p,
-                    hi,
-                    &mut xsums,
-                    &mut assignment,
-                    fast.as_deref_mut(),
-                );
-                return AssignXPartial { assignment, xsums };
-            }
-        }
-        let row = points.row(p);
-        let mut best = 0usize;
-        let mut best_dist = f64::INFINITY;
-        let mut tbase = f64::INFINITY;
-        for (i, ((&m, di), &lf)) in medoids.iter().zip(dims).zip(&lens).enumerate() {
-            let verdict = if di.len() < NEAREST_MIN_DIMS {
-                Some(metric.eval_segmental(row, points.row(m), di))
-            } else {
-                segmental_bounded(metric, row, points.row(m), di, tbase * lf)
-            };
-            match verdict {
-                Some(dist) => {
-                    stats.nearest_verified += 1;
-                    if dist < best_dist {
-                        best_dist = dist;
-                        best = i;
-                        tbase = raw_tbase(metric, dist);
-                    }
-                }
-                None => stats.nearest_pruned += 1,
-            }
-        }
-        assignment.push(best);
-        let mrow = points.row(medoids[best]);
-        let xi = &mut xsums[best];
-        for j in 0..d {
-            xi[j] += (row[j] - mrow[j]).abs();
-        }
-    }
-    AssignXPartial { assignment, xsums }
-}
-
-/// [`refine_assign_block_columnar`] with prefix pruning. A candidate
-/// here feeds *two* comparisons — `dist ≤ spheres[i]` (inside any
-/// sphere?) and `dist < best` (nearest?) — so an evaluation may only be
-/// abandoned when the prefix already decides **both**: `dist >
-/// spheres[i]` forces the membership test false, and `dist ≥ best`
-/// forces the nearest test false. Both conditions are "accumulator
-/// reaches a raw threshold", so their conjunction is the *larger*
-/// threshold (a NaN sphere threshold — an unconditionally-inside `∞`
-/// sphere — makes the conjunction unreachable). Outlier flags and
-/// winners are bit-identical.
-pub fn refine_assign_block_pruned(
-    tile: &TileView<'_>,
-    points: &Matrix,
-    metric: DistanceKind,
-    medoids: &[usize],
-    dims: &[Vec<usize>],
-    spheres: &[f64],
-    stats: &mut PruneStats,
-) -> Vec<Option<usize>> {
-    let (lo, hi) = (tile.lo(), tile.hi());
-    if dims.iter().all(|di| di.len() < NEAREST_MIN_DIMS) {
-        stats.nearest_verified += ((hi - lo) * medoids.len()) as u64;
-        return refine_assign_block_columnar(tile, points, metric, medoids, dims, spheres);
-    }
-    // Raw-unit "certainly outside the sphere" thresholds, one per slot
-    // (spheres and dimension sets are fixed for the whole block).
-    let rt_sphere: Vec<f64> = spheres
-        .iter()
-        .zip(dims)
-        .map(|(&sphere, di)| raw_gt_threshold(metric, sphere, di.len()))
-        .collect();
-    let lens: Vec<f64> = dims
-        .iter()
-        .map(|di| raw_len_factor(metric, di.len()))
-        .collect();
-    let big_slots = dims
-        .iter()
-        .filter(|di| di.len() >= NEAREST_MIN_DIMS)
-        .count() as u64;
-    let probe_end = (lo + PROBE_POINTS).min(hi);
-    let base_pruned = stats.nearest_pruned;
-    let mut out = Vec::with_capacity(hi - lo);
-    for p in lo..hi {
-        if p == probe_end {
-            let abandoned = stats.nearest_pruned - base_pruned;
-            let reached = ((probe_end - lo) as u64) * big_slots;
-            if abandoned * PREFIX_KEEP_DEN < reached * PREFIX_KEEP_NUM {
-                // Hand the rest of the block to the columnar loop.
-                stats.nearest_verified += ((hi - p) * medoids.len()) as u64;
-                refine_assign_range_columnar(
-                    tile, points, metric, medoids, dims, spheres, p, hi, &mut out,
-                );
-                return out;
-            }
-        }
-        let row = points.row(p);
-        let mut best = 0usize;
-        let mut best_dist = f64::INFINITY;
-        let mut tbase = f64::INFINITY;
-        let mut inside_any = false;
-        for (i, ((&m, di), &lf)) in medoids.iter().zip(dims).zip(&lens).enumerate() {
-            let rt_best = tbase * lf;
-            // Once some sphere already contains the point, later
-            // candidates only matter for the nearest test.
-            let rt = if inside_any {
-                rt_best
-            } else if rt_sphere[i].is_nan() {
-                f64::NAN
-            } else {
-                rt_best.max(rt_sphere[i])
-            };
-            let verdict = if di.len() < NEAREST_MIN_DIMS {
-                Some(metric.eval_segmental(row, points.row(m), di))
-            } else {
-                segmental_bounded(metric, row, points.row(m), di, rt)
-            };
-            match verdict {
-                Some(dist) => {
-                    stats.nearest_verified += 1;
-                    if dist <= spheres[i] {
-                        inside_any = true;
-                    }
-                    if dist < best_dist {
-                        best_dist = dist;
-                        best = i;
-                        tbase = raw_tbase(metric, dist);
-                    }
-                }
-                None => stats.nearest_pruned += 1,
-            }
-        }
-        out.push(inside_any.then_some(best));
-    }
-    out
 }
 
 // ---------------------------------------------------------------------
@@ -1007,33 +728,31 @@ fn assign_range_columnar_fast(
     }
 }
 
-/// Columnar argmin over rows `lo..hi`, appending winners to `out`. With
-/// `fast` set (and an `f32` mirror present, and a metric whose
-/// segmental distance the screen's error model covers — Euclidean's
-/// squared accumulators need a different bound and simply take the
-/// exact columnar path), candidates are screened through
-/// [`assign_range_columnar_fast`] first; either way the winners are
-/// bit-identical to [`crate::assign::assign_points`].
-#[allow(clippy::too_many_arguments)]
-fn assign_range_columnar(
+/// Assignment over one tile: each point goes to the medoid with the
+/// smallest segmental distance under that medoid's dimension set, ties
+/// to the lower index. With `fast` set (and an `f32` mirror present,
+/// and a metric whose segmental distance the screen's error model
+/// covers — Euclidean's squared accumulators need a different bound and
+/// simply take the exact columnar path), candidates are screened
+/// through [`assign_range_columnar_fast`] first; either way the winners
+/// are bit-identical to [`crate::assign::assign_points`].
+pub fn assign_block_columnar(
     tile: &TileView<'_>,
     points: &Matrix,
     metric: DistanceKind,
     medoids: &[usize],
     dims: &[Vec<usize>],
-    lo: usize,
-    hi: usize,
-    out: &mut Vec<usize>,
     fast: Option<&mut FastMathStats>,
-) {
+) -> Vec<usize> {
+    let (lo, hi) = (tile.lo(), tile.hi());
     let w = hi - lo;
-    if w == 0 {
-        return;
-    }
     if let Some(fstats) = fast {
         if tile.has_fast() && !matches!(metric, DistanceKind::Euclidean) {
-            assign_range_columnar_fast(tile, points, metric, medoids, dims, lo, hi, out, fstats);
-            return;
+            let mut out = Vec::with_capacity(w);
+            assign_range_columnar_fast(
+                tile, points, metric, medoids, dims, lo, hi, &mut out, fstats,
+            );
+            return out;
         }
     }
     let mut best = vec![0usize; w];
@@ -1048,63 +767,16 @@ fn assign_range_columnar(
             }
         }
     }
-    out.extend_from_slice(&best);
-}
-
-/// Assignment over one tile: each point goes to the medoid with the
-/// smallest segmental distance under that medoid's dimension set, ties
-/// to the lower index (`fast` engages the `f32` exactness-gated
-/// screen; winners are bit-identical either way).
-pub fn assign_block_columnar(
-    tile: &TileView<'_>,
-    points: &Matrix,
-    metric: DistanceKind,
-    medoids: &[usize],
-    dims: &[Vec<usize>],
-    fast: Option<&mut FastMathStats>,
-) -> Vec<usize> {
-    let (lo, hi) = (tile.lo(), tile.hi());
-    let mut out = Vec::with_capacity(hi - lo);
-    assign_range_columnar(tile, points, metric, medoids, dims, lo, hi, &mut out, fast);
-    out
-}
-
-/// Assignment fused with the cluster-based `X` accumulation over tile
-/// rows `lo..hi`: winners first (optionally `f32`-screened), then the
-/// per-cluster `X` sums accumulated dimension-outer over each cluster's
-/// members in ascending order, continuing existing accumulators.
-#[allow(clippy::too_many_arguments)]
-fn assign_x_range_columnar(
-    tile: &TileView<'_>,
-    points: &Matrix,
-    metric: DistanceKind,
-    medoids: &[usize],
-    dims: &[Vec<usize>],
-    lo: usize,
-    hi: usize,
-    xsums: &mut [Vec<f64>],
-    assignment: &mut Vec<usize>,
-    fast: Option<&mut FastMathStats>,
-) {
-    let start = assignment.len();
-    assign_range_columnar(
-        tile, points, metric, medoids, dims, lo, hi, assignment, fast,
-    );
-    let winners = &assignment[start..];
-    let mut members: Vec<Vec<usize>> = vec![Vec::new(); medoids.len()];
-    for (o, &wi) in winners.iter().enumerate() {
-        members[wi].push(lo + o);
-    }
-    for ((&m, mem), xi) in medoids.iter().zip(&members).zip(xsums.iter_mut()) {
-        accumulate_members_columnar(tile, points.row(m), mem, lo, hi, xi);
-    }
+    best
 }
 
 /// Assignment fused with the cluster-based `X` accumulation the inner
 /// refinement loop needs: once a point's winning medoid is known, its
 /// full-dimensional `|p_j − m_j|` differences are added to that
 /// cluster's `X` sums in the same sweep, saving the separate O(N·d)
-/// pass over the freshly formed clusters.
+/// pass over the freshly formed clusters. Winners come first
+/// (optionally `f32`-screened), then the sums are accumulated
+/// dimension-outer over each cluster's members in ascending order.
 pub fn assign_x_block_columnar(
     tile: &TileView<'_>,
     points: &Matrix,
@@ -1115,20 +787,15 @@ pub fn assign_x_block_columnar(
 ) -> AssignXPartial {
     let (lo, hi) = (tile.lo(), tile.hi());
     let d = points.cols();
+    let assignment = assign_block_columnar(tile, points, metric, medoids, dims, fast);
+    let mut members: Vec<Vec<usize>> = vec![Vec::new(); medoids.len()];
+    for (o, &wi) in assignment.iter().enumerate() {
+        members[wi].push(lo + o);
+    }
     let mut xsums = vec![vec![0.0; d]; medoids.len()];
-    let mut assignment = Vec::with_capacity(hi - lo);
-    assign_x_range_columnar(
-        tile,
-        points,
-        metric,
-        medoids,
-        dims,
-        lo,
-        hi,
-        &mut xsums,
-        &mut assignment,
-        fast,
-    );
+    for ((&m, mem), xi) in medoids.iter().zip(&members).zip(xsums.iter_mut()) {
+        accumulate_members_columnar(tile, points.row(m), mem, lo, hi, xi);
+    }
     AssignXPartial { assignment, xsums }
 }
 
@@ -1161,7 +828,8 @@ pub fn columns_block_columnar(
 /// Cluster-based `X` partial sums over one tile for a fixed
 /// assignment (`None` entries — outliers — contribute to no cluster).
 /// Used by the refinement phase, where the reference sets are the final
-/// iterative clusters rather than a just-computed assignment.
+/// iterative clusters, and by the round cache after an assignment it
+/// served from cached distance columns.
 pub fn cluster_x_block_columnar(
     tile: &TileView<'_>,
     points: &Matrix,
@@ -1183,24 +851,19 @@ pub fn cluster_x_block_columnar(
     xsums
 }
 
-/// Refinement assignment over tile rows `lo..hi`, appending to `out` —
-/// also the gate-off tail of the pruned refine kernel.
-#[allow(clippy::too_many_arguments)]
-fn refine_assign_range_columnar(
+/// Refinement assignment over one tile: nearest medoid under the
+/// per-medoid dimension sets, `None` when the point lies inside no
+/// medoid's sphere of influence.
+pub fn refine_assign_block_columnar(
     tile: &TileView<'_>,
     points: &Matrix,
     metric: DistanceKind,
     medoids: &[usize],
     dims: &[Vec<usize>],
     spheres: &[f64],
-    lo: usize,
-    hi: usize,
-    out: &mut Vec<Option<usize>>,
-) {
+) -> Vec<Option<usize>> {
+    let (lo, hi) = (tile.lo(), tile.hi());
     let w = hi - lo;
-    if w == 0 {
-        return;
-    }
     let mut best = vec![0usize; w];
     let mut best_dist = vec![f64::INFINITY; w];
     let mut inside = vec![false; w];
@@ -1223,26 +886,11 @@ fn refine_assign_range_columnar(
             }
         }
     }
-    out.extend(inside.iter().zip(&best).map(|(&ins, &b)| ins.then_some(b)));
-}
-
-/// Refinement assignment over one tile: nearest medoid under the
-/// per-medoid dimension sets, `None` when the point lies inside no
-/// medoid's sphere of influence.
-pub fn refine_assign_block_columnar(
-    tile: &TileView<'_>,
-    points: &Matrix,
-    metric: DistanceKind,
-    medoids: &[usize],
-    dims: &[Vec<usize>],
-    spheres: &[f64],
-) -> Vec<Option<usize>> {
-    let (lo, hi) = (tile.lo(), tile.hi());
-    let mut out = Vec::with_capacity(hi - lo);
-    refine_assign_range_columnar(
-        tile, points, metric, medoids, dims, spheres, lo, hi, &mut out,
-    );
-    out
+    inside
+        .iter()
+        .zip(&best)
+        .map(|(&ins, &b)| ins.then_some(b))
+        .collect()
 }
 
 #[cfg(test)]
@@ -1479,72 +1127,18 @@ mod tests {
         }
     }
 
-    /// The pruned assignment kernels must reproduce the columnar
-    /// winners (and X sums, and outlier flags) bit for bit.
+    /// The pruned fused kernel preserves the NaN semantics of the plain
+    /// path: a NaN-coordinate medoid's locality stays empty (the merge
+    /// then falls back to the singleton) and NaN rows are never members.
     #[test]
-    fn pruned_assignment_kernels_are_bit_identical_to_plain() {
-        for metric in [
-            DistanceKind::Manhattan,
-            DistanceKind::Euclidean,
-            DistanceKind::Chebyshev,
-        ] {
-            // Dimension sets must reach NEAREST_MIN_DIMS for the
-            // bounded path to engage at all; a couple of small sets
-            // exercise the mixed small/large case.
-            let points = random_points(800, 12, 31);
-            let cb = ColumnarBlocks::build(&points, false);
-            let medoids = vec![2usize, 170, 444, 650];
-            let dims = vec![
-                (0..10).collect::<Vec<_>>(),
-                (1..11).collect(),
-                (2..12).collect(),
-                vec![0, 5],
-            ];
-            let spheres = crate::refine::spheres_of_influence(&points, &medoids, &dims, metric);
-            let mut stats = PruneStats::default();
-            for t in cb.tiles() {
-                assert_eq!(
-                    assign_block_columnar(&t, &points, metric, &medoids, &dims, None),
-                    assign_block_pruned(&t, &points, metric, &medoids, &dims, &mut stats, None),
-                    "{metric:?} assign"
-                );
-                let plain = assign_x_block_columnar(&t, &points, metric, &medoids, &dims, None);
-                let pruned =
-                    assign_x_block_pruned(&t, &points, metric, &medoids, &dims, &mut stats, None);
-                assert_eq!(plain.assignment, pruned.assignment, "{metric:?} assign_x");
-                assert_bits(
-                    &plain.xsums,
-                    &pruned.xsums,
-                    &format!("{metric:?} assign_x X"),
-                );
-                assert_eq!(
-                    refine_assign_block_columnar(&t, &points, metric, &medoids, &dims, &spheres),
-                    refine_assign_block_pruned(
-                        &t, &points, metric, &medoids, &dims, &spheres, &mut stats
-                    ),
-                    "{metric:?} refine"
-                );
-            }
-            assert!(stats.nearest_pruned > 0, "{metric:?}: prefix pruning inert");
-        }
-    }
-
-    /// Pruned kernels preserve the NaN semantics of the plain path (a
-    /// NaN-coordinate medoid never wins, all-NaN rows land on slot 0).
-    #[test]
-    fn pruned_kernels_preserve_nan_semantics() {
+    fn pruned_fused_kernel_preserves_nan_semantics() {
         let rows: Vec<[f64; 2]> = vec![[0.0, 0.0], [f64::NAN, 1.0], [2.0, 2.0], [50.0, 50.0]];
         let points = Matrix::from_rows(&rows, 2);
         let cb = ColumnarBlocks::build(&points, false);
         let t = cb.tile(0);
         let medoids = vec![1usize, 3];
-        let dims = vec![vec![0, 1], vec![0, 1]];
         let metric = DistanceKind::Manhattan;
         let mut stats = PruneStats::default();
-        assert_eq!(
-            crate::assign::assign_points(&points, &medoids, &dims, metric),
-            assign_block_pruned(&t, &points, metric, &medoids, &dims, &mut stats, None),
-        );
         let deltas = medoid_deltas(&points, &medoids, metric);
         let index = std::sync::Arc::new(NeighborIndex::build(&points, metric));
         let ctx = FusedPruneCtx::new(index, &points, &medoids, metric);

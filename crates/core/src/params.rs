@@ -101,9 +101,9 @@ pub struct Proclus {
     pub round_cache: bool,
     /// Use the exact-pruning neighbor index (default `true`). A per-fit
     /// [`crate::index::NeighborIndex`] (random-projection sketches plus
-    /// per-pass medoid triangle bounds) lets the locality, assignment,
-    /// and refinement passes skip exact segmental-distance evaluations
-    /// whose outcome a certified lower bound already decides. The index
+    /// per-pass medoid triangle bounds) lets the locality pass skip
+    /// exact segmental-distance evaluations whose outcome a certified
+    /// lower bound already decides. The index
     /// only *prunes* — every surviving candidate is verified by the
     /// exact evaluation — so fits, event streams, and golden digests
     /// are **bit-identical** with it on or off; `index.*` manifest

@@ -38,11 +38,11 @@ use std::sync::{mpsc, Arc, Mutex};
 /// one `Arc`'d assignment for the refinement pass) — the point matrix
 /// itself is borrowed by the workers, never sent.
 ///
-/// The fused task optionally carries a shared [`FusedPruneCtx`], and
-/// the assignment-style tasks a `pruned` flag; either engages the
-/// pruned kernel ([`crate::kernel`]), which is bit-identical to the
-/// columnar kernel, so the choice never reaches the results — only the
-/// [`PruneStats`] riding back with each partial.
+/// The fused task optionally carries a shared [`FusedPruneCtx`], which
+/// engages the pruned kernel ([`crate::kernel::fused_block_pruned`]).
+/// It is bit-identical to the columnar kernel, so the choice never
+/// reaches the results — only the [`PruneStats`] riding back with each
+/// partial.
 enum Task {
     Fused {
         medoids: Arc<Vec<usize>>,
@@ -52,12 +52,10 @@ enum Task {
     Assign {
         medoids: Arc<Vec<usize>>,
         dims: Arc<Vec<Vec<usize>>>,
-        pruned: bool,
     },
     AssignX {
         medoids: Arc<Vec<usize>>,
         dims: Arc<Vec<Vec<usize>>>,
-        pruned: bool,
     },
     Columns {
         medoids: Arc<Vec<usize>>,
@@ -71,7 +69,6 @@ enum Task {
         medoids: Arc<Vec<usize>>,
         dims: Arc<Vec<Vec<usize>>>,
         spheres: Arc<Vec<f64>>,
-        pruned: bool,
     },
 }
 
@@ -96,7 +93,8 @@ type BlockResult = (Partial, PruneStats, FastMathStats);
 
 impl Task {
     /// Run the task over one tile. The returned [`PruneStats`] are this
-    /// block's index-pruning counters (zero for unpruned tasks) —
+    /// block's index-pruning counters (zero unless the fused task
+    /// carries a prune context) —
     /// per-pair decisions depend only on the pair, so the totals are
     /// scheduling-independent even though they ride back with partials.
     fn run(
@@ -120,24 +118,12 @@ impl Task {
                 ),
                 None => kernel::fused_block_columnar(tile, points, metric, medoids, deltas),
             }),
-            Task::Assign {
-                medoids,
-                dims,
-                pruned,
-            } => Partial::Assign(if *pruned {
-                kernel::assign_block_pruned(tile, points, metric, medoids, dims, &mut prune, fast)
-            } else {
-                kernel::assign_block_columnar(tile, points, metric, medoids, dims, fast)
-            }),
-            Task::AssignX {
-                medoids,
-                dims,
-                pruned,
-            } => Partial::AssignX(if *pruned {
-                kernel::assign_x_block_pruned(tile, points, metric, medoids, dims, &mut prune, fast)
-            } else {
-                kernel::assign_x_block_columnar(tile, points, metric, medoids, dims, fast)
-            }),
+            Task::Assign { medoids, dims } => Partial::Assign(kernel::assign_block_columnar(
+                tile, points, metric, medoids, dims, fast,
+            )),
+            Task::AssignX { medoids, dims } => Partial::AssignX(kernel::assign_x_block_columnar(
+                tile, points, metric, medoids, dims, fast,
+            )),
             Task::Columns { medoids, dims } => Partial::Columns(kernel::columns_block_columnar(
                 tile, points, metric, medoids, dims,
             )),
@@ -151,14 +137,9 @@ impl Task {
                 medoids,
                 dims,
                 spheres,
-                pruned,
-            } => Partial::RefineAssign(if *pruned {
-                kernel::refine_assign_block_pruned(
-                    tile, points, metric, medoids, dims, spheres, &mut prune,
-                )
-            } else {
-                kernel::refine_assign_block_columnar(tile, points, metric, medoids, dims, spheres)
-            }),
+            } => Partial::RefineAssign(kernel::refine_assign_block_columnar(
+                tile, points, metric, medoids, dims, spheres,
+            )),
         };
         (partial, prune, fstats)
     }
@@ -174,23 +155,13 @@ impl Task {
                 deltas: Arc::clone(deltas),
                 ctx: ctx.as_ref().map(Arc::clone),
             },
-            Task::Assign {
-                medoids,
-                dims,
-                pruned,
-            } => Task::Assign {
+            Task::Assign { medoids, dims } => Task::Assign {
                 medoids: Arc::clone(medoids),
                 dims: Arc::clone(dims),
-                pruned: *pruned,
             },
-            Task::AssignX {
-                medoids,
-                dims,
-                pruned,
-            } => Task::AssignX {
+            Task::AssignX { medoids, dims } => Task::AssignX {
                 medoids: Arc::clone(medoids),
                 dims: Arc::clone(dims),
-                pruned: *pruned,
             },
             Task::Columns { medoids, dims } => Task::Columns {
                 medoids: Arc::clone(medoids),
@@ -207,12 +178,10 @@ impl Task {
                 medoids,
                 dims,
                 spheres,
-                pruned,
             } => Task::RefineAssign {
                 medoids: Arc::clone(medoids),
                 dims: Arc::clone(dims),
                 spheres: Arc::clone(spheres),
-                pruned: *pruned,
             },
         }
     }
@@ -273,8 +242,8 @@ pub struct Pool<'env> {
     physical: PoolStats,
     round_mark: PoolStats,
     queue_high_water: u64,
-    /// The per-fit neighbor index; `Some` engages the pruned kernels in
-    /// every fused/assign/refine pass.
+    /// The per-fit neighbor index; `Some` engages the pruned kernel in
+    /// every fused locality pass.
     index: Option<Arc<NeighborIndex>>,
     /// Cumulative pruning counters across all passes (manifest-only —
     /// see [`crate::index::PruneStats`]).
@@ -430,8 +399,8 @@ impl<'env> Pool<'env> {
     }
 
     /// Install (or remove) the neighbor index. With an index set, every
-    /// fused, assignment, and refinement pass runs its pruned kernel;
-    /// results are bit-identical either way.
+    /// fused locality pass runs the pruned kernel; results are
+    /// bit-identical either way.
     pub fn set_index(&mut self, index: Option<Arc<NeighborIndex>>) {
         self.index = index;
     }
@@ -598,11 +567,9 @@ impl<'env> Pool<'env> {
 
     /// Plain assignment pass (no `X` accumulation).
     pub fn assign(&mut self, medoids: &[usize], dims: &[Vec<usize>]) -> Vec<usize> {
-        let pruned = self.index.is_some();
         let partials = self.dispatch(Task::Assign {
             medoids: Arc::new(medoids.to_vec()),
             dims: Arc::new(dims.to_vec()),
-            pruned,
         });
         let mut flat = Vec::with_capacity(self.points.rows());
         for p in partials {
@@ -623,11 +590,9 @@ impl<'env> Pool<'env> {
     ) -> (Vec<usize>, Vec<Vec<f64>>) {
         let k = medoids.len();
         let d = self.points.cols();
-        let pruned = self.index.is_some();
         let partials = self.dispatch(Task::AssignX {
             medoids: Arc::new(medoids.to_vec()),
             dims: Arc::new(dims.to_vec()),
-            pruned,
         });
         let parts = partials
             .into_iter()
@@ -651,11 +616,8 @@ impl<'env> Pool<'env> {
     }
 
     /// [`Pool::cluster_x`] booking only physical work. The cache uses
-    /// this with a *masked* assignment (`Some` only for the clusters
-    /// whose membership or medoid changed) to recompute just the
-    /// invalidated cluster-`X` rows: each cluster's row accumulates its
-    /// own members in the same block-grouped ascending order either
-    /// way, so the subset rows are bit-identical to the full pass.
+    /// this for the `X` half of a cached assignment, whose logical pass
+    /// it has already booked.
     pub(crate) fn cluster_x_pass(
         &mut self,
         medoids: &[usize],
@@ -689,12 +651,10 @@ impl<'env> Pool<'env> {
         dims: &[Vec<usize>],
         spheres: &[f64],
     ) -> Vec<Option<usize>> {
-        let pruned = self.index.is_some();
         let partials = self.dispatch(Task::RefineAssign {
             medoids: Arc::new(medoids.to_vec()),
             dims: Arc::new(dims.to_vec()),
             spheres: Arc::new(spheres.to_vec()),
-            pruned,
         });
         let mut flat = Vec::with_capacity(self.points.rows());
         for p in partials {
@@ -874,10 +834,7 @@ mod tests {
                 let ra = pool.refine_assign(&medoids, &dims, &spheres);
                 let pruned = {
                     let s = pool.prune_stats();
-                    s.range_sketch_pruned
-                        + s.range_triangle_pruned
-                        + s.range_prefix_pruned
-                        + s.nearest_pruned
+                    s.range_sketch_pruned + s.range_triangle_pruned + s.range_prefix_pruned
                 };
                 (fused, assign, ax, ra, pruned)
             })

@@ -1,15 +1,15 @@
 //! The exact-pruning neighbor index: same model, fewer exact
 //! distance evaluations.
 //!
-//! PROCLUS spends its rounds answering two geometric queries — the
-//! locality range query and the nearest-medoid query. The neighbor
-//! index (on by default) answers both through certified lower bounds
-//! (a random-projection sketch, per-medoid triangle bounds, and
-//! monotone prefix abandonment) and verifies every surviving candidate
-//! with the exact segmental distance, so the fitted model is
-//! bit-identical with the index on or off. Adaptive gates keep the
-//! index near-free on regimes where the bounds cannot win (such as the
-//! paper's low-dimensional projected clusters — see DESIGN.md §5e).
+//! Every PROCLUS round answers a locality range query: which points lie
+//! within `δᵢ` of each medoid in the full space? The neighbor index (on
+//! by default) answers it through certified lower bounds (a
+//! random-projection sketch, per-medoid triangle bounds, and monotone
+//! prefix abandonment) and verifies every surviving candidate with the
+//! exact segmental distance, so the fitted model is bit-identical with
+//! the index on or off. Adaptive gates keep the index near-free on
+//! regimes where the bounds cannot win (such as the paper's
+//! low-dimensional projected clusters — see DESIGN.md §5e).
 //!
 //! This example fits a high-dimensional separable dataset — the regime
 //! where pruning genuinely pays — with the index on and off, shows the
@@ -38,8 +38,6 @@ fn main() {
         .fit_traced(&data.points, &rec)
         .expect("parameters are valid for this dataset");
 
-    let nearest_pruned = rec.counter_value("index.nearest_pruned");
-    let nearest_verified = rec.counter_value("index.nearest_verified");
     let range_pruned = rec.counter_value("index.range_sketch_pruned")
         + rec.counter_value("index.range_triangle_pruned")
         + rec.counter_value("index.range_prefix_pruned");
@@ -48,10 +46,6 @@ fn main() {
     println!(
         "  range query:   {range_pruned} pruned / {range_verified} verified ({:.1}% pruned)",
         100.0 * range_pruned as f64 / (range_pruned + range_verified).max(1) as f64
-    );
-    println!(
-        "  nearest query: {nearest_pruned} pruned / {nearest_verified} verified ({:.1}% pruned)",
-        100.0 * nearest_pruned as f64 / (nearest_pruned + nearest_verified).max(1) as f64
     );
 
     // The same fit with the index disabled: every candidate pair is

@@ -2,13 +2,13 @@
 //! layer. Its sketch and triangle bounds may only ever *prune* pairs
 //! whose exact distance provably exceeds the query radius (no false
 //! negatives), so every indexed query returns results bit-identical to
-//! the plain scan — across all three metrics, random seeds, thread
-//! counts, and the full fit pipeline. The `index.*` counters must
-//! account for every candidate pair and surface through the recorder.
+//! the plain scan — across all three metrics, random seeds, and the
+//! full fit pipeline. The `index.*` counters must account for every
+//! candidate pair and surface through the recorder.
 
-use proclus::core::assign::{assign_points, assign_points_pruned};
+use proclus::core::dims::average_dimension_distances;
 use proclus::core::index::{NeighborIndex, PruneStats, SKETCH_ROWS};
-use proclus::core::locality::{localities, localities_indexed, medoid_deltas};
+use proclus::core::locality::{localities, medoid_deltas};
 use proclus::core::pool::with_pool;
 use proclus::math::{DistanceKind, Matrix};
 use proclus::obs::RingRecorder;
@@ -22,6 +22,41 @@ const METRICS: [DistanceKind; 3] = [
     DistanceKind::Euclidean,
     DistanceKind::Chebyshev,
 ];
+
+/// The pool's fused locality + `X` pass with the neighbor index
+/// installed, plus the pruning counters it booked.
+fn indexed_fused_round(
+    m: &Matrix,
+    medoids: &[usize],
+    deltas: &[f64],
+    metric: DistanceKind,
+) -> (Vec<Vec<usize>>, Vec<Vec<f64>>, PruneStats) {
+    with_pool(m, metric, 1, false, |pool| {
+        pool.set_index(Some(Arc::new(NeighborIndex::build(m, metric))));
+        let (locs, x) = pool.fused_round(medoids, deltas);
+        (locs, x, pool.prune_stats())
+    })
+}
+
+/// Localities must match `localities`, and the `X` averages over them
+/// the scalar reference, bit for bit.
+fn assert_matches_references(
+    m: &Matrix,
+    medoids: &[usize],
+    plain: &[Vec<usize>],
+    locs: &[Vec<usize>],
+    x: &[Vec<f64>],
+    ctx: &str,
+) {
+    assert_eq!(plain, locs, "{ctx}: localities");
+    let reference = average_dimension_distances(m, medoids, plain);
+    let bits = |rows: &[Vec<f64>]| -> Vec<Vec<u64>> {
+        rows.iter()
+            .map(|r| r.iter().map(|v| v.to_bits()).collect())
+            .collect()
+    };
+    assert_eq!(bits(&reference), bits(x), "{ctx}: X");
+}
 
 /// Clustered points (so the bounds have structure to exploit) plus a
 /// sprinkling of uniform noise.
@@ -41,7 +76,7 @@ fn test_points(n: usize, d: usize, seed: u64) -> Matrix {
     Matrix::from_vec(data, n, d)
 }
 
-/// The range query never loses a point: the indexed locality scan is
+/// The range query never loses a point: the indexed fused pass is
 /// equal (not merely superset-consistent — the survivors are verified
 /// exactly, so equality is the stronger statement the engine relies
 /// on) to the plain scan, for every metric and seed, while actually
@@ -56,59 +91,18 @@ fn indexed_localities_match_the_plain_scan_exactly() {
             let deltas = medoid_deltas(&m, &medoids, metric);
             let plain = localities(&m, &medoids, &deltas, metric);
 
-            let index = Arc::new(NeighborIndex::build(&m, metric));
-            let mut stats = PruneStats::default();
-            let indexed = localities_indexed(&m, &medoids, &deltas, metric, &index, &mut stats);
+            let (locs, x, stats) = indexed_fused_round(&m, &medoids, &deltas, metric);
 
-            assert_eq!(plain, indexed, "{metric:?} seed {seed}");
+            let ctx = format!("{metric:?} seed {seed}");
+            assert_matches_references(&m, &medoids, &plain, &locs, &x, &ctx);
             let pruned =
                 stats.range_sketch_pruned + stats.range_triangle_pruned + stats.range_prefix_pruned;
-            assert!(pruned > 0, "{metric:?} seed {seed}: pruning inert");
+            assert!(pruned > 0, "{ctx}: pruning inert");
             assert_eq!(
                 pruned + stats.range_verified,
                 (m.rows() * medoids.len()) as u64,
-                "{metric:?} seed {seed}: every candidate pair accounted for"
+                "{ctx}: every candidate pair accounted for"
             );
-        }
-    }
-}
-
-/// Same property for the nearest-medoid query, and the scalar pruned
-/// path agrees with the pool path at several thread counts.
-#[test]
-fn indexed_nearest_medoid_matches_the_plain_scan_exactly() {
-    for metric in METRICS {
-        for seed in [3u64, 19, 77] {
-            // Dimension sets of >= NEAREST_MIN_DIMS dimensions engage
-            // the bounded evaluation; one small set keeps the mixed
-            // case honest.
-            let m = test_points(500, 12, seed);
-            let medoids = vec![10usize, 140, 260, 410];
-            let dims = vec![
-                (0..10).collect::<Vec<_>>(),
-                (1..11).collect(),
-                (2..12).collect(),
-                vec![0, 5, 6],
-            ];
-            let plain = assign_points(&m, &medoids, &dims, metric);
-
-            let mut stats = PruneStats::default();
-            let pruned = assign_points_pruned(&m, &medoids, &dims, metric, &mut stats);
-            assert_eq!(plain, pruned, "{metric:?} seed {seed}: scalar");
-            assert!(stats.nearest_pruned > 0, "{metric:?} seed {seed}: inert");
-            assert_eq!(
-                stats.nearest_pruned + stats.nearest_verified,
-                (m.rows() * medoids.len()) as u64,
-                "{metric:?} seed {seed}: every candidate accounted for"
-            );
-
-            for threads in [1usize, 4] {
-                let got = with_pool(&m, metric, threads, false, |pool| {
-                    pool.set_index(Some(Arc::new(NeighborIndex::build(&m, metric))));
-                    pool.assign(&medoids, &dims)
-                });
-                assert_eq!(plain, got, "{metric:?} seed {seed}: {threads} threads");
-            }
         }
     }
 }
@@ -140,10 +134,9 @@ fn near_boundary_and_extreme_magnitudes_never_lose_points() {
             let medoids = vec![0usize, 133, 266];
             let deltas = medoid_deltas(&m, &medoids, metric);
             let plain = localities(&m, &medoids, &deltas, metric);
-            let index = Arc::new(NeighborIndex::build(&m, metric));
-            let mut stats = PruneStats::default();
-            let indexed = localities_indexed(&m, &medoids, &deltas, metric, &index, &mut stats);
-            assert_eq!(plain, indexed, "{metric:?} scale {scale}");
+            let (locs, x, _) = indexed_fused_round(&m, &medoids, &deltas, metric);
+            let ctx = format!("{metric:?} scale {scale}");
+            assert_matches_references(&m, &medoids, &plain, &locs, &x, &ctx);
         }
     }
 }
@@ -156,8 +149,6 @@ fn near_boundary_and_extreme_magnitudes_never_lose_points() {
 /// contract).
 #[test]
 fn fit_exposes_balanced_index_counters() {
-    // Average dimensionality of 10 keeps the per-medoid sets at or
-    // above NEAREST_MIN_DIMS, so the nearest-medoid pruning engages.
     let data = SyntheticSpec::new(1_200, 20, 3, 10.0).seed(2024).generate();
 
     let rec = RingRecorder::new(1 << 16);
@@ -171,10 +162,6 @@ fn fit_exposes_balanced_index_counters() {
         + rec.counter_value("index.range_prefix_pruned");
     assert!(verified > 0, "indexed fit verified nothing");
     assert!(pruned > 0, "indexed fit pruned nothing");
-    assert!(
-        rec.counter_value("index.nearest_pruned") > 0,
-        "nearest-medoid pruning inert in the fit"
-    );
 
     let rec_off = RingRecorder::new(1 << 16);
     let model_off = Proclus::new(3, 10.0)
@@ -183,7 +170,6 @@ fn fit_exposes_balanced_index_counters() {
         .fit_traced(&data.points, &rec_off)
         .expect("unindexed fit");
     assert_eq!(rec_off.counter_value("index.range_verified"), 0);
-    assert_eq!(rec_off.counter_value("index.nearest_pruned"), 0);
     assert_eq!(model.assignment(), model_off.assignment());
     assert_eq!(model.objective(), model_off.objective());
 

@@ -343,16 +343,16 @@ fn orclus_is_scale_invariant_up_to_objective() {
 }
 
 /// Tie-breaking audit: "ties go to the lower cluster index" must hold
-/// identically on every assignment path — the scalar loops (exact and
-/// monotone-prefix pruned), the blocked pool kernels at 1 and 4
-/// threads, and the sketch/triangle-pruned pool kernels. Quantized
+/// identically on every assignment path — the scalar loop, and the
+/// blocked pool kernels at 1 and 4 threads with and without the
+/// neighbor index installed. Quantized
 /// integer coordinates make exact distance ties common (including
 /// duplicated medoid rows), so any path that resolved ties by
 /// evaluation order instead of cluster index would diverge here.
 #[test]
 fn tie_breaking_is_identical_across_all_assignment_paths() {
-    use proclus::core::assign::{assign_points, assign_points_pruned};
-    use proclus::core::index::{NeighborIndex, PruneStats};
+    use proclus::core::assign::assign_points;
+    use proclus::core::index::NeighborIndex;
     use proclus::core::pool::with_pool;
     use std::sync::Arc;
 
@@ -405,13 +405,8 @@ fn tie_breaking_is_identical_across_all_assignment_paths() {
                 .count();
             assert!(tied > 0, "{metric:?} case {case}: no ties generated");
 
-            // Scalar pruned loop.
-            let mut stats = PruneStats::default();
-            let pruned = assign_points_pruned(&m, &medoids, &dims, metric, &mut stats);
-            assert_eq!(reference, pruned, "{metric:?} case {case}: scalar pruned");
-
-            // Pool paths: blocked kernels, plain and index-pruned, at 1
-            // and 4 threads.
+            // Pool paths: blocked kernels, with and without the index,
+            // at 1 and 4 threads.
             for threads in [1usize, 4] {
                 for indexed in [false, true] {
                     let got = with_pool(&m, metric, threads, false, |pool| {

@@ -385,8 +385,7 @@ fn proclus_perf_budgets_hold_on_the_baseline_scenario() {
     assert!(fused > 0, "round cache never hit (fused_slot_hits = 0)");
     let pruned = rec.counter_value("index.range_sketch_pruned")
         + rec.counter_value("index.range_triangle_pruned")
-        + rec.counter_value("index.range_prefix_pruned")
-        + rec.counter_value("index.nearest_pruned");
+        + rec.counter_value("index.range_prefix_pruned");
     assert!(pruned > 0, "neighbor index never pruned an evaluation");
 }
 
