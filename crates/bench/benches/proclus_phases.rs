@@ -7,13 +7,14 @@
 //! Further groups measure the round-level optimizations. Every pool
 //! pass runs the columnar block kernels (the pool's only layout), so
 //! these groups time those kernels against their scalar references or
-//! across thread counts and cache settings:
+//! across thread counts:
 //!
 //! * `round_pass/10k` — the two-sweep scalar reference (`localities`
 //!   then `average_dimension_distances`) vs the pool's fused
 //!   single-sweep kernel, both serial.
 //! * `pooled_round/100k` — one full hill-climbing round (fused pass →
-//!   FindDimensions → assignment) through the persistent worker pool at
+//!   FindDimensions → distance columns → argmin assignment, with
+//!   nothing retained between rounds) through the persistent worker pool at
 //!   1, 2, 4, and 8 threads on a paper-scale dataset; the per-round
 //!   speedup at `threads ≥ 4` is the pool's acceptance bar. Override
 //!   the dataset size with `PROCLUS_BENCH_N`.
@@ -25,12 +26,12 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use proclus_core::assign::{assign_points, group_members};
-use proclus_core::cache::RoundCache;
 use proclus_core::dims::{
     average_dimension_distances, find_dimensions, find_dimensions_from_averages,
 };
 use proclus_core::evaluate::evaluate_clusters;
 use proclus_core::greedy::greedy_select;
+use proclus_core::kernel::argmin_columns;
 use proclus_core::locality::{localities, medoid_deltas};
 use proclus_core::pool::with_pool;
 use proclus_data::SyntheticSpec;
@@ -112,7 +113,7 @@ fn bench_fused_vs_unfused(c: &mut Criterion) {
         })
     });
     group.bench_function("fused_single_sweep", |b| {
-        with_pool(points, metric, 1, false, |pool| {
+        with_pool(points, metric, 1, |pool| {
             b.iter(|| black_box(pool.fused_round(&medoids, &deltas)))
         })
     });
@@ -120,7 +121,7 @@ fn bench_fused_vs_unfused(c: &mut Criterion) {
 }
 
 /// One full hill-climbing round (fused pass → FindDimensions →
-/// assignment) through a persistent pool, across thread counts, on a
+/// distance columns → argmin assignment) through a persistent pool, across thread counts, on a
 /// paper-scale dataset. The pool is created once outside the timing
 /// loop — exactly how `fit` uses it — so the numbers reflect per-round
 /// cost, not thread spawning.
@@ -146,141 +147,19 @@ fn bench_pooled_round_throughput(c: &mut Criterion) {
             BenchmarkId::from_parameter(threads),
             &threads,
             |b, &threads| {
-                with_pool(points, metric, threads, false, |pool| {
+                with_pool(points, metric, threads, |pool| {
                     b.iter(|| {
                         let (_locs, x) = pool.fused_round(&medoids, &deltas);
                         let dims = find_dimensions_from_averages(&x, 25, true);
-                        black_box(pool.assign(&medoids, &dims))
+                        let cols = pool.distance_columns(&medoids, &dims);
+                        let refs: Vec<&[f64]> = cols.iter().map(Vec::as_slice).collect();
+                        black_box(argmin_columns(&refs, points.rows()))
                     })
                 })
             },
         );
     }
     group.finish();
-}
-
-/// One swap-light hill-climbing round as `fit` executes it, routed
-/// through the round cache: δ recomputation, fused locality + X pass,
-/// FindDimensions, fused assignment + cluster X, cluster-based
-/// FindDimensions, final assignment.
-fn cached_round(
-    pool: &mut proclus_core::pool::Pool<'_>,
-    cache: &mut RoundCache,
-    points: &proclus_math::Matrix,
-    medoids: &[usize],
-    metric: DistanceKind,
-    total_dims: usize,
-) -> usize {
-    let deltas = medoid_deltas(points, medoids, metric);
-    let (_locs, x) = cache.fused_round(pool, medoids, &deltas);
-    let dims = find_dimensions_from_averages(&x, total_dims, true);
-    let (flat, cx) = cache.assign_x(pool, medoids, &dims);
-    let dims2 = find_dimensions_from_averages(&cx, total_dims, true);
-    let flat2 = cache.assign(pool, medoids, &dims2);
-    flat.len() + flat2[0] + flat2[flat2.len() - 1]
-}
-
-/// Cached vs uncached steady-state round cost on the swap-light
-/// workload the hill climb actually produces (one bad medoid replaced
-/// per round, everything else unchanged): `N` = 100k (override with
-/// `PROCLUS_BENCH_N`), d = 20, k = 5. Criterion reports both; the
-/// same fixture is then measured manually and written to
-/// `BENCH_4.json` (override the path with `PROCLUS_BENCH_OUT`) with
-/// the cached-over-uncached speedup, since the vendored criterion shim
-/// has no JSON output of its own.
-fn bench_cached_vs_uncached_round(c: &mut Criterion) {
-    let n: usize = std::env::var("PROCLUS_BENCH_N")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(100_000);
-    let (d, k, total_dims) = (20usize, 5usize, 25usize);
-    let data = SyntheticSpec::new(n, d, k, 5.0)
-        .fixed_dims(vec![5; k])
-        .seed(7)
-        .generate();
-    let points = &data.points;
-    let metric = DistanceKind::Manhattan;
-    let candidates: Vec<usize> = (0..points.rows()).step_by(31).collect();
-    let mut rng = StdRng::seed_from_u64(3);
-    let initial = greedy_select(points, &candidates, k, &metric, &mut rng);
-    // Fresh replacement medoids for the per-round swap, disjoint from
-    // the initial set.
-    let fresh: Vec<usize> = (0..points.rows())
-        .step_by(97)
-        .filter(|p| !initial.contains(p))
-        .collect();
-
-    // One measured pass: a warm-up round to populate the cache (the
-    // climb's first round — cold either way), then `rounds` rounds
-    // each preceded by a single bad-medoid swap. Returns mean seconds
-    // per steady-state round.
-    let run_rounds = |cache_on: bool, rounds: usize| -> f64 {
-        with_pool(points, metric, 1, false, |pool| {
-            let mut cache = RoundCache::new(cache_on, k);
-            let mut medoids = initial.clone();
-            black_box(cached_round(
-                pool, &mut cache, points, &medoids, metric, total_dims,
-            ));
-            let start = std::time::Instant::now();
-            for r in 0..rounds {
-                medoids[r % k] = fresh[r % fresh.len()];
-                black_box(cached_round(
-                    pool, &mut cache, points, &medoids, metric, total_dims,
-                ));
-            }
-            start.elapsed().as_secs_f64() / rounds as f64
-        })
-    };
-
-    let mut group = c.benchmark_group(format!("cached_round/{n}"));
-    for (label, cache_on) in [("uncached", false), ("cached", true)] {
-        group.bench_function(label, |b| {
-            with_pool(points, metric, 1, false, |pool| {
-                let mut cache = RoundCache::new(cache_on, k);
-                let mut medoids = initial.clone();
-                let mut r = 0usize;
-                b.iter(|| {
-                    medoids[r % k] = fresh[r % fresh.len()];
-                    r += 1;
-                    black_box(cached_round(
-                        pool, &mut cache, points, &medoids, metric, total_dims,
-                    ))
-                })
-            })
-        });
-    }
-    group.finish();
-
-    let rounds: usize = std::env::var("PROCLUS_BENCH_ROUNDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(10);
-    let uncached = run_rounds(false, rounds);
-    let cached = run_rounds(true, rounds);
-    let speedup = uncached / cached;
-    let out = std::env::var("PROCLUS_BENCH_OUT")
-        .unwrap_or_else(|_| concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_4.json").to_string());
-    let json = format!(
-        "{{\n  \"bench\": \"cached_vs_uncached_round\",\n  \"n\": {n},\n  \
-         \"d\": {d},\n  \"k\": {k},\n  \"rounds\": {rounds},\n  \
-         \"swaps_per_round\": 1,\n  \"uncached_ms_per_round\": {:.3},\n  \
-         \"cached_ms_per_round\": {:.3},\n  \"speedup\": {:.2},\n  \
-         \"caveat\": \"wall-clock means over {rounds} steady-state swap-light \
-         rounds after one warm-up round, single-threaded pool, measured in a \
-         1-CPU dev container\"\n}}\n",
-        uncached * 1e3,
-        cached * 1e3,
-        speedup,
-    );
-    if let Err(e) = std::fs::write(&out, json) {
-        eprintln!("warning: could not write {out}: {e}");
-    } else {
-        eprintln!(
-            "cached_round/{n}: uncached {:.1}ms cached {:.1}ms speedup {speedup:.2}x -> {out}",
-            uncached * 1e3,
-            cached * 1e3,
-        );
-    }
 }
 
 /// The disabled-recorder path must cost nothing: `fit` (which wires in
@@ -322,7 +201,6 @@ criterion_group!(
     bench_phases,
     bench_fused_vs_unfused,
     bench_pooled_round_throughput,
-    bench_cached_vs_uncached_round,
     bench_trace_overhead
 );
 criterion_main!(benches);

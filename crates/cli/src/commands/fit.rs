@@ -22,19 +22,19 @@ proclus fit — PROCLUS projected clustering (SIGMOD 1999)
   --metric <name>   manhattan | euclidean | chebyshev [default manhattan]
   --min-deviation <f> bad-medoid threshold factor [default 0.1]
   --paper-literal   disable the inner refinement (see DESIGN.md)
-  --no-round-cache  recompute every round from scratch instead of the
-                    incremental cross-round cache (results are
-                    bit-identical either way; see DESIGN.md §5d)
+  --no-round-cache  keep nothing between passes: every locality and
+                    distance column is recomputed by the same code
+                    instead of served from the cross-round cache
+                    (results are bit-identical either way; see
+                    DESIGN.md §5d)
   --no-index        skip the exact-pruning neighbor index in the
                     locality pass (sketch and triangle bounds plus
                     prefix abandonment); every locality distance is
                     then computed in full (results are bit-identical
                     either way; see DESIGN.md §5e)
-  --fast-math       opt into the exactness-gated f32 screening fast
-                    path in the assignment kernels (results are
-                    bit-identical either way; engages where distances
-                    are evaluated directly, so pair with
-                    --no-round-cache; see DESIGN.md §5h)
+  --fast-math       retired, has no effect (the f32 screen is gone);
+                    still accepted for the end-to-end benchmark's
+                    ablation and removed together with it
   --verbose         print the recorded trace summary (convergence,
                     swap history) plus fit diagnostics
   --trace-out <dir> stream events.jsonl + run.json into this directory
@@ -63,7 +63,6 @@ fn params_json(input: &Path, params: &Proclus, metric: &str, paper_literal: bool
     Json::Obj(vec![
         ("round_cache".into(), Json::Bool(params.round_cache)),
         ("neighbor_index".into(), Json::Bool(params.neighbor_index)),
-        ("fast_math".into(), Json::Bool(params.fast_math)),
         ("algorithm".into(), Json::Str("proclus".into())),
         ("input".into(), Json::Str(input.display().to_string())),
         ("k".into(), Json::Num(params.k as f64)),
@@ -115,8 +114,9 @@ pub fn run(args: &Args, out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
         .min_deviation(args.get_parsed("min-deviation", 0.1)?)
         .distance(parse_metric(&metric)?)
         .round_cache(!args.switch("no-round-cache"))
-        .neighbor_index(!args.switch("no-index"))
-        .fast_math(args.switch("fast-math"));
+        .neighbor_index(!args.switch("no-index"));
+    // Retired no-op switch: read only so it is not rejected as unknown.
+    args.switch("fast-math");
     if paper_literal {
         params = params.inner_refinements(0);
     }
@@ -306,11 +306,13 @@ mod tests {
         };
         let indexed = run_with("");
         let unindexed = run_with(" --no-index");
+        let retired = run_with(" --fast-math");
         std::fs::remove_file(&input).ok();
         assert_eq!(
             indexed, unindexed,
             "model summary must not depend on the pruning index"
         );
+        assert_eq!(indexed, retired, "--fast-math is an accepted no-op");
     }
 
     /// `--trace-out` into an unwritable location must fail the command

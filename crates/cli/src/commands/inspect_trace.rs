@@ -112,29 +112,6 @@ fn index_summary(manifest: &json::Json) -> Option<String> {
     ))
 }
 
-/// Derived `f32` fast-path effectiveness from the `fastmath.*`
-/// manifest counters: pairs excluded by the conservative screen vs
-/// pairs verified exactly. `None` when the trace has no fast-math
-/// counters (the default — the fast path is opt-in).
-fn fastmath_summary(manifest: &json::Json) -> Option<String> {
-    let counter = |name: &str| {
-        manifest
-            .get("counters")
-            .and_then(|c| c.get(name))
-            .and_then(json::Json::as_usize)
-    };
-    let screened = counter("fastmath.screened")?;
-    let excluded = counter("fastmath.excluded").unwrap_or(0);
-    let verified = counter("fastmath.verified").unwrap_or(0);
-    if screened == 0 {
-        return Some("fast math: n/a (0 pairs screened)".to_string());
-    }
-    let pct = excluded as f64 * 100.0 / screened as f64;
-    Some(format!(
-        "fast math: {excluded}/{screened} pairs excluded ({pct:.1}%), {verified} verified in f64"
-    ))
-}
-
 /// Derived serving health from a `proclus serve` manifest's `serve.*`
 /// counters: request volume, error split, queue pressure, and job
 /// outcomes. `None` for traces that never served traffic.
@@ -199,9 +176,6 @@ pub fn run(args: &Args, out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
         writeln!(out, "{line}")?;
     }
     if let Some(line) = index_summary(&manifest) {
-        writeln!(out, "{line}")?;
-    }
-    if let Some(line) = fastmath_summary(&manifest) {
         writeln!(out, "{line}")?;
     }
     if let Some(line) = stream_summary(&manifest) {
@@ -350,9 +324,7 @@ mod tests {
                 "\"cache.fused_slot_hits\":0,\"cache.fused_slot_recomputes\":0,",
                 "\"cache.column_hits\":0,\"cache.column_recomputes\":0,",
                 "\"index.range_sketch_pruned\":0,\"index.range_triangle_pruned\":0,",
-                "\"index.range_prefix_pruned\":0,\"index.range_verified\":0,",
-                "\"fastmath.screened\":0,\"fastmath.excluded\":0,",
-                "\"fastmath.verified\":0}}"
+                "\"index.range_prefix_pruned\":0,\"index.range_verified\":0}}"
             ),
         )
         .unwrap();
@@ -364,16 +336,16 @@ mod tests {
         let text = String::from_utf8(buf).unwrap();
         assert!(text.contains("fused n/a (0 lookups)"), "{text}");
         assert!(text.contains("range n/a (0 queries)"), "{text}");
-        assert!(text.contains("fast math: n/a"), "{text}");
         assert!(!text.contains("0.0%"), "zero-total rate leaked: {text}");
         assert!(!text.contains("NaN"), "{text}");
     }
 
-    /// Manifests written before and after the nearest-medoid pruning
-    /// and the cache's cluster-row layer were removed both get their
-    /// cache and index lines: the summaries render the counters that
-    /// are present and ignore the retired ones (which still appear in
-    /// the raw counter listing).
+    /// Manifests written before and after the nearest-medoid pruning,
+    /// the cache's cluster-row layer and the `f32` fast path were
+    /// removed all get their cache and index lines: the summaries
+    /// render the counters that are present and ignore the retired ones
+    /// (which still appear in the raw counter listing, and derive no
+    /// line of their own).
     #[test]
     fn manifests_with_and_without_retired_counters_render_every_line() {
         let current = concat!(
@@ -385,6 +357,10 @@ mod tests {
         let retired = concat!(
             "\"cache.cluster_row_hits\":2,\"cache.cluster_row_recomputes\":6,",
             "\"index.nearest_pruned\":0,\"index.nearest_verified\":40,"
+        );
+        let fast_math = concat!(
+            "\"fastmath.screened\":12,\"fastmath.excluded\":4,",
+            "\"fastmath.verified\":8,"
         );
         let render = |name: &str, counters: &str| {
             let dir = tmp(name);
@@ -405,11 +381,22 @@ mod tests {
             "neighbor index: range 10/40 pruned (25.0%) (sketch 5, triangle 2, prefix 3)\n";
         for (name, counters) in [
             ("before", format!("{retired}{current}")),
+            ("fast-math", format!("{fast_math}{current}")),
             ("after", current.to_string()),
         ] {
             let text = render(name, &counters);
             assert!(text.contains(cache_line), "{name}: {text}");
             assert!(text.contains(index_line), "{name}: {text}");
+            assert!(!text.contains("fast math:"), "{name}: {text}");
+            if name == "fast-math" {
+                for key in [
+                    "fastmath.screened",
+                    "fastmath.excluded",
+                    "fastmath.verified",
+                ] {
+                    assert!(text.contains(key), "{name}: raw {key} missing: {text}");
+                }
+            }
         }
     }
 

@@ -32,19 +32,28 @@
 //! [`RoundCache::assign_x`] recomputes them in one full cluster-`X`
 //! pass.
 //!
+//! # One engine, with or without retention
+//!
+//! The cache is the only engine of the rounds' locality and assignment
+//! passes. Disabled (`fit --no-round-cache`), it keeps nothing between
+//! passes: every lookup misses and every slot goes through the same
+//! subset passes ([`Pool::fused_pass`], [`Pool::distance_columns`] and
+//! [`crate::kernel::argmin_columns`], [`Pool::cluster_x_pass`]) that
+//! recompute invalidated slots when it is enabled.
+//!
 //! # Why determinism survives
 //!
 //! Every recomputation runs the *same block kernels over the same
 //! fixed tiling* as the full pass, restricted to the invalidated slots;
 //! per-slot results are independent in those kernels (see
 //! [`crate::kernel`]), so a cached value and a recomputed one are the
-//! same bits. The assignment is rebuilt from columns by
+//! same bits. The assignment is built from columns by
 //! [`crate::kernel::argmin_columns`], whose loop is literally the
-//! comparison loop of the direct kernels. Logical pool accounting
-//! (`pool_dispatches`/`pool_blocks` in `round` events) is booked per
-//! *semantic* pass via [`Pool::note_logical_pass`] whether or not any
-//! physical work ran, so the event stream carries the same numbers as
-//! the uncached engine.
+//! comparison loop of [`crate::assign::assign_points`]. Logical pool
+//! accounting (`pool_dispatches`/`pool_blocks` in `round` events) is
+//! booked per *semantic* pass via [`Pool::note_logical_pass`] whatever
+//! physical work ran, so the event stream carries the same numbers with
+//! the cache on or off.
 //!
 //! Cache effectiveness is observable through the `cache.*` manifest
 //! counters and the per-round `cache.medoids_recomputed` gauge — both
@@ -95,11 +104,13 @@ struct ColumnEntry {
 /// (locality-derived, then cluster-refined).
 const COLUMNS_PER_SLOT: usize = 2;
 
-/// Per-fit incremental state for the hill-climbing rounds. Create one
-/// per fit (it spans restarts — the value keys make stale state
-/// harmless) and route every round's heavy pass through it; disabled
+/// Per-fit incremental state for the hill-climbing rounds, and the only
+/// engine of the rounds' locality and assignment passes. Create one per
+/// fit (it spans restarts — the value keys make stale state harmless)
+/// and route every round's heavy pass through it. Disabled
 /// ([`Proclus::round_cache`](crate::params::Proclus::round_cache) =
-/// `false`) it forwards verbatim to the full pool passes.
+/// `false`) it retains nothing between passes: every lookup misses and
+/// every slot is recomputed by the same subset passes.
 pub struct RoundCache {
     enabled: bool,
     fused: Vec<Option<FusedSlot>>,
@@ -109,22 +120,20 @@ pub struct RoundCache {
 }
 
 impl RoundCache {
-    /// A cache for fits with `k` medoid slots. `enabled = false` builds
-    /// a pass-through shell (no memory, no counters beyond the
-    /// per-round recompute gauge, identical pool behavior to the
-    /// pre-cache engine).
+    /// A cache for fits with `k` medoid slots. `enabled = false` keeps
+    /// no state between passes (the per-round recompute gauge then
+    /// counts every slot).
     pub fn new(enabled: bool, k: usize) -> Self {
-        let slots = if enabled { k } else { 0 };
         RoundCache {
             enabled,
-            fused: (0..slots).map(|_| None).collect(),
-            columns: (0..slots).map(|_| Vec::new()).collect(),
+            fused: (0..k).map(|_| None).collect(),
+            columns: (0..k).map(|_| Vec::new()).collect(),
             stats: CacheStats::default(),
             round_recomputed: 0,
         }
     }
 
-    /// Is incremental caching active?
+    /// Is state retained between passes?
     pub fn is_enabled(&self) -> bool {
         self.enabled
     }
@@ -136,7 +145,7 @@ impl RoundCache {
 
     /// Fused slots recomputed since the previous call — the per-round
     /// "medoids recomputed" gauge. With the cache disabled this counts
-    /// every slot of every pass (the uncached engine recomputes all).
+    /// every slot of every pass.
     pub fn take_round_recomputed(&mut self) -> u64 {
         std::mem::take(&mut self.round_recomputed)
     }
@@ -150,25 +159,19 @@ impl RoundCache {
         medoids: &[usize],
         deltas: &[f64],
     ) -> (Vec<Vec<usize>>, Vec<Vec<f64>>) {
-        if !self.enabled {
-            self.round_recomputed += medoids.len() as u64;
-            return pool.fused_round(medoids, deltas);
-        }
         pool.note_logical_pass();
-        self.grow_to(medoids.len());
-        let missing: Vec<usize> = medoids
-            .iter()
-            .zip(deltas)
-            .enumerate()
-            .filter(|&(i, (&m, &delta))| {
-                !matches!(
-                    &self.fused[i],
-                    Some(s) if s.medoid == m && s.delta_bits == delta.to_bits()
-                )
+        let k = medoids.len();
+        self.grow_to(k);
+        let mut out: Vec<Option<(Vec<usize>, Vec<f64>)>> = (0..k)
+            .map(|i| match &self.fused[i] {
+                Some(s) if s.medoid == medoids[i] && s.delta_bits == deltas[i].to_bits() => {
+                    Some((s.locs.clone(), s.x.clone()))
+                }
+                _ => None,
             })
-            .map(|(i, _)| i)
             .collect();
-        self.stats.fused_slot_hits += (medoids.len() - missing.len()) as u64;
+        let missing: Vec<usize> = (0..k).filter(|&i| out[i].is_none()).collect();
+        self.stats.fused_slot_hits += (k - missing.len()) as u64;
         self.stats.fused_slot_recomputes += missing.len() as u64;
         self.round_recomputed += missing.len() as u64;
         if !missing.is_empty() {
@@ -176,63 +179,45 @@ impl RoundCache {
             let sub_d: Vec<f64> = missing.iter().map(|&i| deltas[i]).collect();
             let (locs, x) = pool.fused_pass(&sub_m, &sub_d);
             for ((&slot, li), xi) in missing.iter().zip(locs).zip(x) {
-                self.fused[slot] = Some(FusedSlot {
-                    medoid: medoids[slot],
-                    delta_bits: deltas[slot].to_bits(),
-                    locs: li,
-                    x: xi,
-                });
+                if self.enabled {
+                    self.fused[slot] = Some(FusedSlot {
+                        medoid: medoids[slot],
+                        delta_bits: deltas[slot].to_bits(),
+                        locs: li.clone(),
+                        x: xi.clone(),
+                    });
+                }
+                out[slot] = Some((li, xi));
             }
         }
-        let mut locs = Vec::with_capacity(medoids.len());
-        let mut x = Vec::with_capacity(medoids.len());
-        for slot in self.fused.iter().take(medoids.len()) {
-            match slot {
-                Some(s) => {
-                    locs.push(s.locs.clone());
-                    x.push(s.x.clone());
-                }
-                // Unreachable by construction (every miss was filled
-                // above); keep the degenerate shape rather than panic.
-                None => {
-                    locs.push(Vec::new());
-                    x.push(Vec::new());
-                }
-            }
-        }
-        (locs, x)
+        // Every miss was just filled, so no slot takes the default.
+        out.into_iter().map(Option::unwrap_or_default).unzip()
     }
 
-    /// Plain assignment pass via cached distance columns. Bit-identical
-    /// to [`Pool::assign`].
+    /// Plain assignment pass: the argmin over the slots' distance
+    /// columns. Bit-identical to [`crate::assign::assign_points`].
     pub fn assign(
         &mut self,
         pool: &mut Pool<'_>,
         medoids: &[usize],
         dims: &[Vec<usize>],
     ) -> Vec<usize> {
-        if !self.enabled {
-            return pool.assign(medoids, dims);
-        }
         pool.note_logical_pass();
         self.assign_via_columns(pool, medoids, dims)
     }
 
     /// Assignment fused with the per-cluster `X` averages (the inner
-    /// refinement's input): the assignment from cached columns, then
-    /// one cluster-`X` pass over the clusters it forms. Each row
-    /// accumulates its members in the same block-grouped ascending
-    /// order as the fused kernel, so the result is bit-identical to
-    /// [`Pool::assign_x`].
+    /// refinement's input): the assignment from the distance columns,
+    /// then one cluster-`X` pass over the clusters it forms. Each row
+    /// accumulates its members in ascending order within the fixed
+    /// block tiling, so the result is bit-identical to
+    /// [`crate::dims::average_dimension_distances`] over those clusters.
     pub fn assign_x(
         &mut self,
         pool: &mut Pool<'_>,
         medoids: &[usize],
         dims: &[Vec<usize>],
     ) -> (Vec<usize>, Vec<Vec<f64>>) {
-        if !self.enabled {
-            return pool.assign_x(medoids, dims);
-        }
         pool.note_logical_pass();
         let flat = self.assign_via_columns(pool, medoids, dims);
         let members: Vec<Option<usize>> = flat.iter().map(|&a| Some(a)).collect();
@@ -240,9 +225,9 @@ impl RoundCache {
         (flat, x)
     }
 
-    /// Ensure a cached column per slot for `(medoids[i], dims[i])`,
-    /// recomputing misses in one subset pass, then assign every point
-    /// to its argmin slot.
+    /// Look up a column per slot for `(medoids[i], dims[i])`, compute
+    /// the misses in one subset pass, and assign every point to its
+    /// argmin slot; the fresh columns are kept only when enabled.
     fn assign_via_columns(
         &mut self,
         pool: &mut Pool<'_>,
@@ -251,42 +236,46 @@ impl RoundCache {
     ) -> Vec<usize> {
         let k = medoids.len();
         self.grow_to(k);
-        let mut entry: Vec<Option<usize>> = (0..k)
+        let hits: Vec<Option<usize>> = (0..k)
             .map(|i| {
                 self.columns[i]
                     .iter()
                     .position(|e| e.medoid == medoids[i] && e.dims == dims[i])
             })
             .collect();
-        let missing: Vec<usize> = (0..k).filter(|&i| entry[i].is_none()).collect();
+        let missing: Vec<usize> = (0..k).filter(|&i| hits[i].is_none()).collect();
         self.stats.column_hits += (k - missing.len()) as u64;
         self.stats.column_recomputes += missing.len() as u64;
-        if !missing.is_empty() {
-            let sub_m: Vec<usize> = missing.iter().map(|&i| medoids[i]).collect();
-            let sub_d: Vec<Vec<usize>> = missing.iter().map(|&i| dims[i].clone()).collect();
-            let cols = pool.distance_columns(&sub_m, &sub_d);
-            for (&slot, col) in missing.iter().zip(cols) {
-                if self.columns[slot].len() >= COLUMNS_PER_SLOT {
-                    self.columns[slot].remove(0);
-                }
+        // A missing slot's cached columns are never read below, so its
+        // oldest one is freed before the fresh columns are allocated.
+        for &slot in &missing {
+            if self.columns[slot].len() >= COLUMNS_PER_SLOT {
+                self.columns[slot].remove(0);
+            }
+        }
+        let sub_m: Vec<usize> = missing.iter().map(|&i| medoids[i]).collect();
+        let sub_d: Vec<Vec<usize>> = missing.iter().map(|&i| dims[i].clone()).collect();
+        let fresh = pool.distance_columns(&sub_m, &sub_d);
+        let mut cols: Vec<&[f64]> = vec![&[]; k];
+        for (i, hit) in hits.iter().enumerate() {
+            if let Some(e) = *hit {
+                cols[i] = &self.columns[i][e].col;
+            }
+        }
+        for (&slot, col) in missing.iter().zip(&fresh) {
+            cols[slot] = col;
+        }
+        let assignment = crate::kernel::argmin_columns(&cols, pool.points().rows());
+        if self.enabled {
+            for (&slot, col) in missing.iter().zip(fresh) {
                 self.columns[slot].push(ColumnEntry {
                     medoid: medoids[slot],
                     dims: dims[slot].clone(),
                     col,
                 });
-                entry[slot] = Some(self.columns[slot].len() - 1);
             }
         }
-        let mut refs: Vec<&[f64]> = Vec::with_capacity(k);
-        for (i, e) in entry.iter().enumerate() {
-            match e.and_then(|e| self.columns[i].get(e)) {
-                Some(entry) => refs.push(entry.col.as_slice()),
-                // Unreachable: every miss was just filled. Degrade to a
-                // direct full pass rather than panic.
-                None => return pool.assign(medoids, dims),
-            }
-        }
-        crate::kernel::argmin_columns(&refs, pool.points().rows())
+        assignment
     }
 
     /// Grow the per-slot tables to at least `k` slots (`run_once` is
@@ -328,11 +317,11 @@ mod tests {
     }
 
     /// S1 cross-path equivalence property test: the scalar
-    /// `assign_points`, the blocked kernel, the pooled pass, and the
-    /// cached column-argmin path must agree bit for bit over seeded
-    /// random matrices — including tie-heavy ones where quantized
-    /// coordinates make many distances exactly equal — for every
-    /// metric and thread count tried.
+    /// `assign_points` and the column-argmin path — cold, warm (served
+    /// from cache) and with the cache disabled — must agree bit for bit
+    /// over seeded random matrices, including tie-heavy ones where
+    /// quantized coordinates make many distances exactly equal, for
+    /// every metric and thread count tried.
     #[test]
     fn all_assignment_paths_agree_on_seeded_matrices() {
         for metric in [
@@ -348,30 +337,21 @@ mod tests {
                     let medoids = vec![4usize, 600, 1100];
                     let dims = vec![vec![0, 1], vec![1, 2, 3], vec![0, 4]];
                     let scalar = crate::assign::assign_points(&points, &medoids, &dims, metric);
-                    let layout = crate::layout::ColumnarBlocks::build(&points, false);
-                    let blocked: Vec<usize> = layout
-                        .tiles()
-                        .flat_map(|t| {
-                            crate::kernel::assign_block_columnar(
-                                &t, &points, metric, &medoids, &dims, None,
-                            )
-                        })
-                        .collect();
-                    assert_eq!(scalar, blocked, "{metric:?} seed {seed}: blocked kernel");
                     for threads in [1usize, 4] {
-                        let (pooled, cached, cached_again) =
-                            with_pool(&points, metric, threads, false, |pool| {
+                        let (cold, warm, unretained) =
+                            with_pool(&points, metric, threads, |pool| {
                                 let mut cache = RoundCache::new(true, medoids.len());
-                                let pooled = pool.assign(&medoids, &dims);
-                                let cached = cache.assign(pool, &medoids, &dims);
+                                let cold = cache.assign(pool, &medoids, &dims);
                                 // Second call is served from cache.
-                                let again = cache.assign(pool, &medoids, &dims);
+                                let warm = cache.assign(pool, &medoids, &dims);
                                 assert_eq!(cache.stats().column_hits, 3);
-                                (pooled, cached, again)
+                                let mut off = RoundCache::new(false, medoids.len());
+                                (cold, warm, off.assign(pool, &medoids, &dims))
                             });
-                        assert_eq!(scalar, pooled, "{metric:?} seed {seed} t{threads}: pooled");
-                        assert_eq!(scalar, cached, "{metric:?} seed {seed} t{threads}: cached");
-                        assert_eq!(scalar, cached_again, "{metric:?} seed {seed}: cache hit");
+                        let ctx = format!("{metric:?} seed {seed} t{threads}");
+                        assert_eq!(scalar, cold, "{ctx}: cold");
+                        assert_eq!(scalar, warm, "{ctx}: cache hit");
+                        assert_eq!(scalar, unretained, "{ctx}: cache disabled");
                     }
                 }
             }
@@ -389,7 +369,7 @@ mod tests {
 
         let run_rounds = |cache_on: bool| {
             let mut medoids = medoids.clone();
-            with_pool(&points, metric, 1, false, |pool| {
+            with_pool(&points, metric, 1, |pool| {
                 let mut cache = RoundCache::new(cache_on, medoids.len());
                 let mut out = Vec::new();
                 for round in 0..6 {
@@ -419,20 +399,12 @@ mod tests {
             logical_a, logical_b,
             "logical pool accounting must not see the cache"
         );
-        assert_eq!(
-            logical_a, physical_a,
-            "uncached engine: physical work equals logical"
-        );
-        // Physical dispatch counts are not directly comparable: a
-        // cached `assign_x` splits into a columns pass plus a
-        // cluster-X pass (two cheap fan-outs instead of one full one),
-        // and a subset recompute still fans over every row block. The
-        // savings are per-block (fewer medoid slots per pass), which
-        // the wall-clock benchmark measures; here we only require that
-        // the cache did not silently run as a pass-through.
-        assert_ne!(
-            physical_b, logical_b,
-            "cached engine must actually skip or split physical passes"
+        // A pass whose every slot hits dispatches nothing, so the
+        // cached engine fans out fewer times than the one that retains
+        // nothing.
+        assert!(
+            physical_b.dispatches < physical_a.dispatches,
+            "cached engine must skip physical passes: {physical_b:?} vs {physical_a:?}"
         );
         assert!(
             stats.fused_slot_hits > 0 && stats.column_hits > 0,
@@ -440,31 +412,44 @@ mod tests {
         );
     }
 
-    /// Disabled cache is a pass-through: identical results, identical
-    /// logical == physical accounting, no cache memory.
+    /// A disabled cache retains nothing between passes: results equal
+    /// the enabled cache's, nothing ever hits, and repeating a pass
+    /// recomputes every slot again.
     #[test]
-    fn disabled_cache_is_a_pass_through() {
+    fn disabled_cache_retains_nothing_between_passes() {
         let points = random_points(1200, 4, 5);
         let metric = DistanceKind::Manhattan;
         let medoids = vec![3usize, 800];
         let dims = vec![vec![0, 1], vec![2, 3]];
         let deltas = medoid_deltas(&points, &medoids, metric);
-        with_pool(&points, metric, 1, false, |pool| {
-            let mut cache = RoundCache::new(false, medoids.len());
-            let direct = pool.fused_round(&medoids, &deltas);
-            let via_cache = cache.fused_round(pool, &medoids, &deltas);
-            assert_eq!(direct, via_cache);
-            assert_eq!(
-                pool.assign(&medoids, &dims),
-                cache.assign(pool, &medoids, &dims)
-            );
-            assert_eq!(
-                pool.assign_x(&medoids, &dims),
-                cache.assign_x(pool, &medoids, &dims)
-            );
-            assert_eq!(pool.stats(), pool.physical_stats());
-            assert_eq!(cache.stats(), CacheStats::default());
-            assert_eq!(cache.take_round_recomputed(), medoids.len() as u64);
+        let k = medoids.len() as u64;
+        with_pool(&points, metric, 1, |pool| {
+            let mut on = RoundCache::new(true, medoids.len());
+            let mut off = RoundCache::new(false, medoids.len());
+            for _ in 0..2 {
+                assert_eq!(
+                    on.fused_round(pool, &medoids, &deltas),
+                    off.fused_round(pool, &medoids, &deltas)
+                );
+                assert_eq!(
+                    on.assign(pool, &medoids, &dims),
+                    off.assign(pool, &medoids, &dims)
+                );
+                assert_eq!(
+                    on.assign_x(pool, &medoids, &dims),
+                    off.assign_x(pool, &medoids, &dims)
+                );
+            }
+            assert!(on.stats().fused_slot_hits > 0 && on.stats().column_hits > 0);
+            let stats = off.stats();
+            assert_eq!((stats.fused_slot_hits, stats.column_hits), (0, 0));
+            assert_eq!(stats.fused_slot_recomputes, 2 * k);
+            assert_eq!(stats.column_recomputes, 4 * k);
+            assert_eq!(off.take_round_recomputed(), 2 * k);
+            // The second round of identical passes ran again in full.
+            let before = pool.physical_stats().dispatches;
+            off.assign(pool, &medoids, &dims);
+            assert_eq!(pool.physical_stats().dispatches, before + 1);
         });
     }
 }

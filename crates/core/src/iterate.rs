@@ -121,30 +121,23 @@ pub fn run_traced(
 /// one round cache serve the whole of `body`. The cache's entries are
 /// value-keyed, so state surviving a restart is either bit-identical
 /// (and served) or mismatched (and recomputed) — never stale. The pool,
-/// cache, index and fast-path measurements are recorded whether `body`
-/// succeeds or fails, and `fit_end` closes a successful fit.
+/// cache and index measurements are recorded whether `body` succeeds or
+/// fails, and `fit_end` closes a successful fit.
 fn fit_in_pool(
     params: &Proclus,
     points: &Matrix,
     rec: &dyn Recorder,
     body: impl FnOnce(&mut Pool<'_>, &mut RoundCache) -> Result<ProclusModel, ProclusError>,
 ) -> Result<ProclusModel, ProclusError> {
-    let result = with_pool(
-        points,
-        params.distance,
-        params.threads,
-        params.fast_math,
-        |pool| {
-            install_index(params, points, pool, rec);
-            let mut cache = RoundCache::new(params.round_cache, params.k);
-            let result = body(pool, &mut cache);
-            record_pool_measurements(rec, pool);
-            record_cache_measurements(rec, &cache);
-            record_index_measurements(rec, pool);
-            record_fastmath_measurements(rec, pool);
-            result
-        },
-    );
+    let result = with_pool(points, params.distance, params.threads, |pool| {
+        install_index(params, points, pool, rec);
+        let mut cache = RoundCache::new(params.round_cache, params.k);
+        let result = body(pool, &mut cache);
+        record_pool_measurements(rec, pool);
+        record_cache_measurements(rec, &cache);
+        record_index_measurements(rec, pool);
+        result
+    });
     record_fit_end(rec, &result);
     result
 }
@@ -178,27 +171,15 @@ fn record_index_measurements(rec: &dyn Recorder, pool: &Pool<'_>) {
     rec.counter("index.range_verified", stats.range_verified);
 }
 
-/// `f32` fast-path effectiveness → `fastmath.*` counters (manifest
-/// channel only; emitted only under `--fast-math`). The exactness gate
-/// guarantees `screened == excluded + verified` and that exclusions
-/// never change a winner, so these measure work saved, not accuracy
-/// lost.
-fn record_fastmath_measurements(rec: &dyn Recorder, pool: &Pool<'_>) {
-    if !rec.enabled() || !pool.fast_math_enabled() {
-        return;
-    }
-    let stats = pool.fast_math_stats();
-    rec.counter("fastmath.screened", stats.screened);
-    rec.counter("fastmath.excluded", stats.excluded);
-    rec.counter("fastmath.verified", stats.verified);
-}
-
 /// Pool work totals → counters, scheduling-dependent facts → gauges.
 ///
 /// `pool.dispatches`/`pool.blocks` are the *logical* (semantic-pass)
 /// totals — identical with the round cache on or off. The `physical_*`
-/// pair counts fan-outs that actually ran; the gap between the two is
-/// the work the cache saved.
+/// pair counts the fan-outs that actually ran, each over every row
+/// block. The two are not a saved-work measure: a pass served from
+/// cache dispatches nothing, but assignment + `X` dispatches two (see
+/// [`crate::pool::PoolStats`]), so physical can exceed logical. The
+/// cache's effect shows in the `cache.*` hit counters and in wall time.
 fn record_pool_measurements(rec: &dyn Recorder, pool: &Pool<'_>) {
     if !rec.enabled() {
         return;

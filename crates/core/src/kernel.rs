@@ -10,11 +10,15 @@
 //! | pass | block kernel | scalar reference |
 //! |---|---|---|
 //! | locality + `X` | [`fused_block_columnar`] | [`crate::locality::localities`], [`crate::dims::average_dimension_distances`] |
-//! | assignment | [`assign_block_columnar`] | [`crate::assign::assign_points`] |
-//! | assignment + `X` | [`assign_x_block_columnar`] | `assign_points`, `average_dimension_distances` |
 //! | distance columns | [`columns_block_columnar`] | [`DistanceKind::eval_segmental`] |
 //! | cluster `X` | [`cluster_x_block_columnar`] | `average_dimension_distances` |
-//! | refinement reassignment | [`refine_assign_block_columnar`] | the loop in [`crate::refine::refine_opt`] |
+//! | refinement reassignment | [`refine_block_columnar`] | the loop in [`crate::refine::refine_opt`] |
+//!
+//! The hill climb's assignment is not a block pass of its own: it is
+//! [`argmin_columns`] over the distance columns (reference:
+//! [`crate::assign::assign_points`]), and assignment + `X` adds one
+//! cluster-`X` pass over the clusters that argmin forms (see
+//! [`crate::cache::RoundCache`]).
 //!
 //! With the neighbor index installed the locality pass runs
 //! [`fused_block_pruned`] instead (see below), whose gate-off tail is
@@ -67,7 +71,7 @@ use crate::index::{
     raw_gt_threshold, FusedPruneCtx, PruneStats, PREFIX_KEEP_DEN, PREFIX_KEEP_NUM,
     PROBE_DISABLE_SHIFT, PROBE_POINTS, PRUNE_CHUNK,
 };
-use crate::layout::{FastMathStats, TileView, FAST_MATH_TOLERANCE_SCALE};
+use crate::layout::TileView;
 use proclus_math::{DistanceKind, Matrix};
 
 /// Rows per work block. Large enough that per-block dispatch overhead
@@ -185,48 +189,6 @@ pub fn argmin_columns(columns: &[&[f64]], n: usize) -> Vec<usize> {
         out.push(best);
     }
     out
-}
-
-/// Partial result of the fused assign + cluster-`X` pass.
-#[derive(Clone, Debug, PartialEq)]
-pub struct AssignXPartial {
-    /// Winning medoid per row of the block.
-    pub assignment: Vec<usize>,
-    /// Per-cluster, per-dimension sums of `|p_j − m_j|` to the winning
-    /// medoid, over this block's rows.
-    pub xsums: Vec<Vec<f64>>,
-}
-
-/// Merge assign-`X` partials (ascending block order) into the flat
-/// assignment and the per-cluster `X` averages.
-pub fn merge_assign_x(
-    partials: Vec<AssignXPartial>,
-    k: usize,
-    d: usize,
-) -> (Vec<usize>, Vec<Vec<f64>>) {
-    let mut flat = Vec::new();
-    let mut x = vec![vec![0.0; d]; k];
-    for mut part in partials {
-        flat.append(&mut part.assignment);
-        for (xi, pi) in x.iter_mut().zip(&part.xsums) {
-            for (a, b) in xi.iter_mut().zip(pi) {
-                *a += b;
-            }
-        }
-    }
-    let mut counts = vec![0usize; k];
-    for &a in &flat {
-        counts[a] += 1;
-    }
-    for (xi, &c) in x.iter_mut().zip(&counts) {
-        if c > 0 {
-            let inv = 1.0 / c as f64;
-            for v in xi.iter_mut() {
-                *v *= inv;
-            }
-        }
-    }
-    (flat, x)
 }
 
 /// Merge cluster-`X` partials into averages, dividing by the reference
@@ -627,185 +589,15 @@ pub fn fused_block_columnar(
     FusedPartial { locs, xsums }
 }
 
-/// The `f32` prefilter's per-pair tolerance coefficient: multiply by
-/// `‖p‖₁ + ‖m‖₁` for the absolute error bound τ(p, m) (see
-/// [`FAST_MATH_TOLERANCE_SCALE`] for the derivation).
-#[inline]
-fn fast_tau_coefficient(d: usize) -> f64 {
-    FAST_MATH_TOLERANCE_SCALE * (d as f64 + 4.0) * (f32::EPSILON as f64)
-}
-
-/// `f32`-screened argmin over one tile range: approximate distances
-/// give each candidate a conservative interval `[d₃₂ − τ, d₃₂ + τ]`; a
-/// candidate whose lower bound exceeds the smallest upper bound cannot
-/// win the strict-`<` lowest-index argmin and is excluded without `f64`
-/// work, every survivor is evaluated exactly (ascending index, same
-/// comparison), so the winners are bit-identical to the plain kernels.
-/// Any NaN/inf — in the data, the approximation, or the tolerance —
-/// fails the strict exclusion comparison and falls through to the
-/// exact path.
-#[allow(clippy::too_many_arguments)]
-fn assign_range_columnar_fast(
-    tile: &TileView<'_>,
-    points: &Matrix,
-    metric: DistanceKind,
-    medoids: &[usize],
-    dims: &[Vec<usize>],
-    lo: usize,
-    hi: usize,
-    out: &mut Vec<usize>,
-    fstats: &mut FastMathStats,
-) {
-    let w = hi - lo;
-    let k = medoids.len();
-    let tau_coeff = fast_tau_coefficient(points.cols());
-    // k approximate distance columns plus the per-medoid magnitudes.
-    let mut approx = vec![0.0f32; k * w];
-    let mut mag_m = vec![0.0f64; k];
-    let mut m32: Vec<f32> = Vec::new();
-    for (i, (&m, di)) in medoids.iter().zip(dims).enumerate() {
-        let mrow = points.row(m);
-        mag_m[i] = tile.mag(m);
-        m32.clear();
-        m32.extend(di.iter().map(|&j| mrow[j] as f32));
-        let acc = &mut approx[i * w..(i + 1) * w];
-        match metric {
-            DistanceKind::Chebyshev => {
-                for (&j, &mj) in di.iter().zip(&m32) {
-                    if let Some(col) = tile.col32(j, lo, hi) {
-                        for (a, &x) in acc.iter_mut().zip(col) {
-                            *a = f32::max(*a, (x - mj).abs());
-                        }
-                    }
-                }
-            }
-            // Manhattan (Euclidean never reaches the fast path).
-            _ => {
-                for (&j, &mj) in di.iter().zip(&m32) {
-                    if let Some(col) = tile.col32(j, lo, hi) {
-                        for (a, &x) in acc.iter_mut().zip(col) {
-                            *a += (x - mj).abs();
-                        }
-                    }
-                }
-                let len = di.len() as f32;
-                if len > 0.0 {
-                    for a in acc.iter_mut() {
-                        *a /= len;
-                    }
-                }
-            }
-        }
-    }
-    for o in 0..w {
-        let p = lo + o;
-        let mag_p = tile.mag(p);
-        let mut min_hi = f64::INFINITY;
-        for i in 0..k {
-            let hi_bound = approx[i * w + o] as f64 + tau_coeff * (mag_p + mag_m[i]);
-            if hi_bound < min_hi {
-                min_hi = hi_bound;
-            }
-        }
-        let row = points.row(p);
-        let mut best = 0usize;
-        let mut best_dist = f64::INFINITY;
-        for (i, (&m, di)) in medoids.iter().zip(dims).enumerate() {
-            fstats.screened += 1;
-            let lo_bound = approx[i * w + o] as f64 - tau_coeff * (mag_p + mag_m[i]);
-            if lo_bound > min_hi {
-                fstats.excluded += 1;
-                continue;
-            }
-            fstats.verified += 1;
-            let dist = metric.eval_segmental(row, points.row(m), di);
-            if dist < best_dist {
-                best_dist = dist;
-                best = i;
-            }
-        }
-        out.push(best);
-    }
-}
-
-/// Assignment over one tile: each point goes to the medoid with the
-/// smallest segmental distance under that medoid's dimension set, ties
-/// to the lower index. With `fast` set (and an `f32` mirror present,
-/// and a metric whose segmental distance the screen's error model
-/// covers — Euclidean's squared accumulators need a different bound and
-/// simply take the exact columnar path), candidates are screened
-/// through [`assign_range_columnar_fast`] first; either way the winners
-/// are bit-identical to [`crate::assign::assign_points`].
-pub fn assign_block_columnar(
-    tile: &TileView<'_>,
-    points: &Matrix,
-    metric: DistanceKind,
-    medoids: &[usize],
-    dims: &[Vec<usize>],
-    fast: Option<&mut FastMathStats>,
-) -> Vec<usize> {
-    let (lo, hi) = (tile.lo(), tile.hi());
-    let w = hi - lo;
-    if let Some(fstats) = fast {
-        if tile.has_fast() && !matches!(metric, DistanceKind::Euclidean) {
-            let mut out = Vec::with_capacity(w);
-            assign_range_columnar_fast(
-                tile, points, metric, medoids, dims, lo, hi, &mut out, fstats,
-            );
-            return out;
-        }
-    }
-    let mut best = vec![0usize; w];
-    let mut best_dist = vec![f64::INFINITY; w];
-    let mut col = vec![0.0f64; w];
-    for (i, (&m, di)) in medoids.iter().zip(dims).enumerate() {
-        segmental_column_columnar(tile, metric, points.row(m), di, lo, hi, &mut col);
-        for ((bd, b), &dv) in best_dist.iter_mut().zip(best.iter_mut()).zip(col.iter()) {
-            if dv < *bd {
-                *bd = dv;
-                *b = i;
-            }
-        }
-    }
-    best
-}
-
-/// Assignment fused with the cluster-based `X` accumulation the inner
-/// refinement loop needs: once a point's winning medoid is known, its
-/// full-dimensional `|p_j − m_j|` differences are added to that
-/// cluster's `X` sums in the same sweep, saving the separate O(N·d)
-/// pass over the freshly formed clusters. Winners come first
-/// (optionally `f32`-screened), then the sums are accumulated
-/// dimension-outer over each cluster's members in ascending order.
-pub fn assign_x_block_columnar(
-    tile: &TileView<'_>,
-    points: &Matrix,
-    metric: DistanceKind,
-    medoids: &[usize],
-    dims: &[Vec<usize>],
-    fast: Option<&mut FastMathStats>,
-) -> AssignXPartial {
-    let (lo, hi) = (tile.lo(), tile.hi());
-    let d = points.cols();
-    let assignment = assign_block_columnar(tile, points, metric, medoids, dims, fast);
-    let mut members: Vec<Vec<usize>> = vec![Vec::new(); medoids.len()];
-    for (o, &wi) in assignment.iter().enumerate() {
-        members[wi].push(lo + o);
-    }
-    let mut xsums = vec![vec![0.0; d]; medoids.len()];
-    for ((&m, mem), xi) in medoids.iter().zip(&members).zip(xsums.iter_mut()) {
-        accumulate_members_columnar(tile, points.row(m), mem, lo, hi, xi);
-    }
-    AssignXPartial { assignment, xsums }
-}
-
 /// Per-slot segmental-distance columns over one tile:
 /// `out[s][p − lo] = metric.eval_segmental(points.row(p),
 /// points.row(medoids[s]), &dims[s])`.
 ///
-/// Each value is exactly the scalar the assignment kernels compare —
-/// there is no accumulation across rows — so a column computed here and
-/// cached across rounds is bit-identical to recomputing the distance.
+/// Each value is exactly the scalar [`crate::assign::assign_points`]
+/// compares — there is no accumulation across rows — so a column
+/// computed here and cached across rounds is bit-identical to
+/// recomputing the distance, and [`argmin_columns`] over the columns is
+/// the assignment.
 pub fn columns_block_columnar(
     tile: &TileView<'_>,
     points: &Matrix,
@@ -854,7 +646,7 @@ pub fn cluster_x_block_columnar(
 /// Refinement assignment over one tile: nearest medoid under the
 /// per-medoid dimension sets, `None` when the point lies inside no
 /// medoid's sphere of influence.
-pub fn refine_assign_block_columnar(
+pub fn refine_block_columnar(
     tile: &TileView<'_>,
     points: &Matrix,
     metric: DistanceKind,
@@ -959,39 +751,39 @@ mod tests {
         }
     }
 
+    /// The assignment + `X` sequence of the round cache: argmin over
+    /// the distance columns, then the cluster-`X` pass over the clusters
+    /// it forms, equal to `assign_points` and the `X` reference.
     #[test]
-    fn assign_block_matches_assign_points() {
-        let points = random_points(1_500, 5, 9);
-        let cb = ColumnarBlocks::build(&points, false);
-        let medoids = vec![0usize, 100, 1_300];
-        let dims = vec![vec![0, 1], vec![2, 3], vec![1, 4]];
-        let metric = DistanceKind::Manhattan;
-        let legacy = crate::assign::assign_points(&points, &medoids, &dims, metric);
-        let flat: Vec<usize> = cb
-            .tiles()
-            .flat_map(|t| assign_block_columnar(&t, &points, metric, &medoids, &dims, None))
-            .collect();
-        assert_eq!(flat, legacy);
-    }
-
-    #[test]
-    fn assign_x_matches_plain_assign_and_cluster_x_reference() {
+    fn cluster_x_over_the_argmin_assignment_matches_the_reference() {
         let points = random_points(1_400, 5, 13);
         let cb = ColumnarBlocks::build(&points, false);
         let medoids = vec![7usize, 1_200];
         let dims = vec![vec![0, 2], vec![1, 3]];
         let metric = DistanceKind::Manhattan;
-        let partials: Vec<AssignXPartial> = cb
-            .tiles()
-            .map(|t| assign_x_block_columnar(&t, &points, metric, &medoids, &dims, None))
-            .collect();
-        let (flat, x) = merge_assign_x(partials, 2, 5);
+        let mut cols = vec![Vec::new(); medoids.len()];
+        for t in cb.tiles() {
+            for (full, part) in cols
+                .iter_mut()
+                .zip(columns_block_columnar(&t, &points, metric, &medoids, &dims))
+            {
+                full.extend(part);
+            }
+        }
+        let refs: Vec<&[f64]> = cols.iter().map(Vec::as_slice).collect();
+        let flat = argmin_columns(&refs, points.rows());
         assert_eq!(
             flat,
             crate::assign::assign_points(&points, &medoids, &dims, metric)
         );
         let opt: Vec<Option<usize>> = flat.iter().map(|&a| Some(a)).collect();
         let clusters = crate::assign::group_members(&opt, 2);
+        let counts: Vec<usize> = clusters.iter().map(Vec::len).collect();
+        let partials = cb
+            .tiles()
+            .map(|t| cluster_x_block_columnar(&t, &points, &medoids, &opt))
+            .collect();
+        let x = merge_cluster_x(partials, &counts, 5);
         let reference = average_dimension_distances(&points, &medoids, &clusters);
         assert_bits(&x, &reference, "assign+X");
     }
@@ -1005,8 +797,7 @@ mod tests {
         let dims = vec![vec![0, 1], vec![0, 1]];
         let metric = DistanceKind::Manhattan;
         let spheres = crate::refine::spheres_of_influence(&points, &medoids, &dims, metric);
-        let out =
-            refine_assign_block_columnar(&cb.tile(0), &points, metric, &medoids, &dims, &spheres);
+        let out = refine_block_columnar(&cb.tile(0), &points, metric, &medoids, &dims, &spheres);
         assert_eq!(out, vec![Some(0), Some(1), None]);
     }
 
@@ -1145,104 +936,5 @@ mod tests {
         let plain = fused_block_columnar(&t, &points, metric, &medoids, &deltas);
         let pruned = fused_block_pruned(&t, &points, metric, &medoids, &deltas, &ctx, &mut stats);
         assert_eq!(plain, pruned);
-    }
-
-    /// Matrices chosen to stress the bit-identity contract: exact
-    /// distance ties, duplicated rows, and mixed 1e±9 magnitudes where
-    /// any reassociation of the accumulation order would show up.
-    fn tricky_matrices() -> Vec<(&'static str, Matrix)> {
-        let mut rng = StdRng::seed_from_u64(77);
-        let (n, d) = (1_400usize, 6usize); // spans two canonical tiles
-        let tie: Vec<f64> = (0..n * d)
-            .map(|_| f64::from(rng.random_range(0u32..6)))
-            .collect();
-        let protos: Vec<Vec<f64>> = (0..40)
-            .map(|_| (0..d).map(|_| rng.random_range(0.0..10.0)).collect())
-            .collect();
-        let dup: Vec<f64> = (0..n).flat_map(|p| protos[p % 40].clone()).collect();
-        let huge: Vec<f64> = (0..n * d)
-            .map(|i| {
-                let base: f64 = rng.random_range(-1.0..1.0);
-                match i % 3 {
-                    0 => base * 1.0e9,
-                    1 => base * 1.0e-9,
-                    _ => base,
-                }
-            })
-            .collect();
-        vec![
-            ("tie-heavy", Matrix::from_vec(tie, n, d)),
-            ("duplicate-rows", Matrix::from_vec(dup, n, d)),
-            ("mixed-magnitude", Matrix::from_vec(huge, n, d)),
-        ]
-    }
-
-    /// The `f32` screen must never change a winner: gated assignment
-    /// equals the exact kernels element-wise, the counters balance, and
-    /// the screen actually engages for Manhattan/Chebyshev while
-    /// Euclidean falls through to the exact columnar path.
-    #[test]
-    fn fast_gated_assignment_matches_plain_winners_exactly() {
-        for (name, points) in tricky_matrices() {
-            let cb = ColumnarBlocks::build(&points, true);
-            let medoids = vec![3usize, 700, 1_200];
-            let dims = vec![vec![0, 1, 2], vec![1, 3], vec![0, 4, 5]];
-            for metric in [
-                DistanceKind::Manhattan,
-                DistanceKind::Euclidean,
-                DistanceKind::Chebyshev,
-            ] {
-                let mut fs = FastMathStats::default();
-                for t in cb.tiles() {
-                    let ctx = format!("{name}/{metric:?}/[{},{})", t.lo(), t.hi());
-                    assert_eq!(
-                        assign_block_columnar(&t, &points, metric, &medoids, &dims, None),
-                        assign_block_columnar(&t, &points, metric, &medoids, &dims, Some(&mut fs)),
-                        "{ctx}: gated assign"
-                    );
-                    let xa = assign_x_block_columnar(&t, &points, metric, &medoids, &dims, None);
-                    let xb = assign_x_block_columnar(
-                        &t,
-                        &points,
-                        metric,
-                        &medoids,
-                        &dims,
-                        Some(&mut fs),
-                    );
-                    assert_eq!(xa.assignment, xb.assignment, "{ctx}: gated assign+X");
-                    assert_bits(&xa.xsums, &xb.xsums, &format!("{ctx}: gated assign+X sums"));
-                }
-                assert_eq!(
-                    fs.screened,
-                    fs.excluded + fs.verified,
-                    "{name}/{metric:?}: counter balance"
-                );
-                if metric == DistanceKind::Euclidean {
-                    assert_eq!(fs.screened, 0, "{name}: Euclidean must not be screened");
-                } else {
-                    assert!(fs.screened > 0, "{name}/{metric:?}: screen never engaged");
-                }
-            }
-        }
-    }
-
-    /// NaN rows fall through the `f32` screen to the exact path and
-    /// keep the scalar reference's NaN semantics.
-    #[test]
-    fn fast_gate_preserves_nan_semantics() {
-        let rows: Vec<[f64; 2]> = vec![[0.0, 0.0], [f64::NAN, 1.0], [2.0, 2.0], [50.0, 50.0]];
-        let points = Matrix::from_rows(&rows, 2);
-        let cb = ColumnarBlocks::build(&points, true);
-        let t = cb.tile(0);
-        let medoids = vec![1usize, 3];
-        let dims = vec![vec![0, 1], vec![0, 1]];
-        for metric in [DistanceKind::Manhattan, DistanceKind::Chebyshev] {
-            let mut fs = FastMathStats::default();
-            assert_eq!(
-                crate::assign::assign_points(&points, &medoids, &dims, metric),
-                assign_block_columnar(&t, &points, metric, &medoids, &dims, Some(&mut fs)),
-                "{metric:?}"
-            );
-        }
     }
 }

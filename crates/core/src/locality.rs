@@ -166,9 +166,8 @@ mod tests {
             assert!(loc.contains(&medoids[i]), "medoid {i} in its locality");
         }
 
-        let (fused_locs, x) = crate::pool::with_pool(&m, metric, 1, false, |pool| {
-            pool.fused_round(&medoids, &deltas)
-        });
+        let (fused_locs, x) =
+            crate::pool::with_pool(&m, metric, 1, |pool| pool.fused_round(&medoids, &deltas));
         assert_eq!(fused_locs, locs);
         for xi in &x {
             assert!(xi.iter().all(|&v| v == 0.0), "X over duplicates is zero");
@@ -198,9 +197,8 @@ mod tests {
         assert_eq!(legacy[0], vec![1], "NaN medoid degenerates to {{mᵢ}}");
         assert!(legacy[1].contains(&3));
 
-        let (fused, x) = crate::pool::with_pool(&m, metric, 1, false, |pool| {
-            pool.fused_round(&medoids, &deltas)
-        });
+        let (fused, x) =
+            crate::pool::with_pool(&m, metric, 1, |pool| pool.fused_round(&medoids, &deltas));
         assert_eq!(fused, legacy, "fused path applies the same fallback");
         assert_eq!(x[0], vec![0.0, 0.0], "fallback X row is zero, not NaN");
     }

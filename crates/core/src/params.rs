@@ -91,13 +91,13 @@ pub struct Proclus {
     /// Reuse unchanged per-medoid round state across hill-climbing
     /// rounds (default `true`). The paper's iterative phase swaps only
     /// the *bad* medoids between rounds, so most localities, dimension
-    /// averages, distance columns, and cluster sums are unchanged; the
+    /// averages and distance columns are unchanged; the
     /// [`crate::cache::RoundCache`] serves those from cache and
     /// recomputes only the slots a swap touched — **bit-identically**,
     /// so fits, event streams, and golden digests are unaffected.
-    /// Disable to force full recomputation every round (the cache's own
-    /// correctness baseline; also what `cache.*` counters compare
-    /// against).
+    /// Disable to retain nothing between passes: every slot of every
+    /// pass is then recomputed by the same code (the cache's own
+    /// correctness baseline; `fit --no-round-cache` on the CLI).
     pub round_cache: bool,
     /// Use the exact-pruning neighbor index (default `true`). A per-fit
     /// [`crate::index::NeighborIndex`] (random-projection sketches plus
@@ -110,16 +110,6 @@ pub struct Proclus {
     /// counters report the work saved. Disable for the unpruned
     /// baseline (`fit --no-index` on the CLI).
     pub neighbor_index: bool,
-    /// Opt into the exactness-gated `f32` fast path (default `false`).
-    /// Assignment kernels prescreen candidates with `f32` distances
-    /// widened to conservative intervals (tolerance model:
-    /// [`crate::layout::FAST_MATH_TOLERANCE_SCALE`]); only provably
-    /// non-winning candidates are skipped and every accepted decision
-    /// is re-verified in `f64`, so fits, event streams, and golden
-    /// digests stay **bit-identical** with it on or off. `fastmath.*`
-    /// manifest counters report the work saved (`fit --fast-math` on
-    /// the CLI).
-    pub fast_math: bool,
 }
 
 impl Proclus {
@@ -143,7 +133,6 @@ impl Proclus {
             threads: 1,
             round_cache: true,
             neighbor_index: true,
-            fast_math: false,
         }
     }
 
@@ -158,14 +147,6 @@ impl Proclus {
     /// bit-identical either way — see [`crate::index`]).
     pub fn neighbor_index(mut self, v: bool) -> Self {
         self.neighbor_index = v;
-        self
-    }
-
-    /// Opt into the exactness-gated `f32` screening fast path (default
-    /// off; results are bit-identical either way — see
-    /// [`crate::layout`]).
-    pub fn fast_math(mut self, v: bool) -> Self {
-        self.fast_math = v;
         self
     }
 

@@ -28,8 +28,8 @@
 //!   references in `tests/columnar.rs`.
 
 use crate::index::{FusedPruneCtx, NeighborIndex, PruneStats};
-use crate::kernel::{self, AssignXPartial, FusedPartial};
-use crate::layout::{ColumnarBlocks, FastMathStats, TileView};
+use crate::kernel::{self, FusedPartial};
+use crate::layout::{ColumnarBlocks, TileView};
 use proclus_math::{DistanceKind, Matrix};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{mpsc, Arc, Mutex};
@@ -48,14 +48,6 @@ enum Task {
         medoids: Arc<Vec<usize>>,
         deltas: Arc<Vec<f64>>,
         ctx: Option<Arc<FusedPruneCtx>>,
-    },
-    Assign {
-        medoids: Arc<Vec<usize>>,
-        dims: Arc<Vec<Vec<usize>>>,
-    },
-    AssignX {
-        medoids: Arc<Vec<usize>>,
-        dims: Arc<Vec<Vec<usize>>>,
     },
     Columns {
         medoids: Arc<Vec<usize>>,
@@ -81,15 +73,13 @@ struct Job {
 /// A block's partial result, matched to the [`Task`] variant.
 enum Partial {
     Fused(FusedPartial),
-    Assign(Vec<usize>),
-    AssignX(AssignXPartial),
     Columns(Vec<Vec<f64>>),
     ClusterX(Vec<Vec<f64>>),
     RefineAssign(Vec<Option<usize>>),
 }
 
 /// What one block sends back: its partial plus the block's counters.
-type BlockResult = (Partial, PruneStats, FastMathStats);
+type BlockResult = (Partial, PruneStats);
 
 impl Task {
     /// Run the task over one tile. The returned [`PruneStats`] are this
@@ -97,16 +87,8 @@ impl Task {
     /// carries a prune context) —
     /// per-pair decisions depend only on the pair, so the totals are
     /// scheduling-independent even though they ride back with partials.
-    fn run(
-        &self,
-        tile: &TileView<'_>,
-        points: &Matrix,
-        metric: DistanceKind,
-        fast_math: bool,
-    ) -> BlockResult {
+    fn run(&self, tile: &TileView<'_>, points: &Matrix, metric: DistanceKind) -> BlockResult {
         let mut prune = PruneStats::default();
-        let mut fstats = FastMathStats::default();
-        let fast = fast_math.then_some(&mut fstats);
         let partial = match self {
             Task::Fused {
                 medoids,
@@ -118,12 +100,6 @@ impl Task {
                 ),
                 None => kernel::fused_block_columnar(tile, points, metric, medoids, deltas),
             }),
-            Task::Assign { medoids, dims } => Partial::Assign(kernel::assign_block_columnar(
-                tile, points, metric, medoids, dims, fast,
-            )),
-            Task::AssignX { medoids, dims } => Partial::AssignX(kernel::assign_x_block_columnar(
-                tile, points, metric, medoids, dims, fast,
-            )),
             Task::Columns { medoids, dims } => Partial::Columns(kernel::columns_block_columnar(
                 tile, points, metric, medoids, dims,
             )),
@@ -137,11 +113,11 @@ impl Task {
                 medoids,
                 dims,
                 spheres,
-            } => Partial::RefineAssign(kernel::refine_assign_block_columnar(
+            } => Partial::RefineAssign(kernel::refine_block_columnar(
                 tile, points, metric, medoids, dims, spheres,
             )),
         };
-        (partial, prune, fstats)
+        (partial, prune)
     }
 
     fn clone_refs(&self) -> Task {
@@ -154,14 +130,6 @@ impl Task {
                 medoids: Arc::clone(medoids),
                 deltas: Arc::clone(deltas),
                 ctx: ctx.as_ref().map(Arc::clone),
-            },
-            Task::Assign { medoids, dims } => Task::Assign {
-                medoids: Arc::clone(medoids),
-                dims: Arc::clone(dims),
-            },
-            Task::AssignX { medoids, dims } => Task::AssignX {
-                medoids: Arc::clone(medoids),
-                dims: Arc::clone(dims),
             },
             Task::Columns { medoids, dims } => Task::Columns {
                 medoids: Arc::clone(medoids),
@@ -201,22 +169,26 @@ enum Mode {
 ///
 /// The pool keeps two of these with different contracts:
 ///
-/// * **Logical** stats count *semantic* passes — one per
-///   `fused_round`/`assign`/… as the uncached engine would dispatch
-///   them, always over every row block. They are **deterministic**: a
-///   pure function of `(params, data, seed)`, identical for every
-///   thread count *and* for the cached and uncached engines (the
-///   [`crate::cache::RoundCache`] books a full logical pass even when
-///   it serves the result from cache). Safe to embed in the trace
-///   event stream, and `round` events do.
-/// * **Physical** stats count the fan-outs that actually ran, which the
-///   cache shrinks (a pass fully served from cache dispatches
-///   nothing). Scheduling-independent too, but *engine*-dependent, so
-///   they go only to the run-manifest counters, never the event
+/// * **Logical** stats count the algorithm's *semantic* passes — one
+///   per locality round, assignment, assignment + `X`, cluster `X` and
+///   refinement reassignment — each booked as a sweep over every row
+///   block. They are **deterministic**: a pure function of
+///   `(params, data, seed)`, identical for every thread count *and*
+///   with the round cache on or off (the [`crate::cache::RoundCache`]
+///   books one logical pass per semantic pass whatever it runs).
+///   Safe to embed in the trace event stream, and `round` events do.
+/// * **Physical** stats count the fan-outs that actually ran. Each
+///   covers every row block, however many medoid slots it carries. A
+///   pass fully served from cache dispatches nothing, while an
+///   assignment with `X` dispatches two (a distance-columns pass for
+///   the missing slots and a cluster-`X` pass), so physical work can
+///   exceed logical work, and the gap between them is *not* the work
+///   the cache saved. Scheduling-independent too, but engine-dependent,
+///   so they go only to the run-manifest counters, never the event
 ///   stream.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PoolStats {
-    /// Fan-out passes executed (one per `fused_round`/`assign`/…).
+    /// Fan-out passes (one per semantic pass for the logical stats).
     pub dispatches: u64,
     /// Row blocks processed across those passes.
     pub blocks: u64,
@@ -251,32 +223,21 @@ pub struct Pool<'env> {
     /// The columnar mirror shared with the workers: one tile per
     /// dispatched block.
     layout: Arc<ColumnarBlocks>,
-    /// Whether assignment passes engage the `f32` exactness-gated
-    /// screen (the layout then carries the `f32` mirror).
-    fast_math: bool,
-    /// Cumulative fast-path counters across all passes (manifest-only).
-    fstats: FastMathStats,
 }
 
 /// Run `f` with a [`Pool`] over `points`. The columnar mirror is built
-/// once here (one pass over the matrix, plus the `f32` mirror under
-/// `fast_math`) and shared read-only with every worker. With
-/// `threads > 1` (and at least two blocks of data) the workers are
-/// spawned once, live for the whole call, and are joined before this
-/// function returns; otherwise `f` gets a serial pool and no threads
-/// are ever created.
-///
-/// `fast_math` engages the `f32` exactness-gated screen in assignment
-/// passes. Results are bit-identical either way — only the
-/// `fastmath.*` counters and the work saved change.
+/// once here (one pass over the matrix) and shared read-only with every
+/// worker. With `threads > 1` (and at least two blocks of data) the
+/// workers are spawned once, live for the whole call, and are joined
+/// before this function returns; otherwise `f` gets a serial pool and
+/// no threads are ever created.
 pub fn with_pool<R>(
     points: &Matrix,
     metric: DistanceKind,
     threads: usize,
-    fast_math: bool,
     f: impl FnOnce(&mut Pool<'_>) -> R,
 ) -> R {
-    let layout = Arc::new(ColumnarBlocks::build(points, fast_math));
+    let layout = Arc::new(ColumnarBlocks::build(points, false));
     // More workers than blocks would never all run; cap keeps the
     // spawn cost proportional to useful parallelism. (Results do not
     // depend on the cap — or on the thread count at all.)
@@ -293,8 +254,6 @@ pub fn with_pool<R>(
         index: None,
         prune: PruneStats::default(),
         layout,
-        fast_math,
-        fstats: FastMathStats::default(),
     };
     if workers <= 1 {
         return f(&mut pool(Mode::Serial, 0, layout));
@@ -321,7 +280,7 @@ pub fn with_pool<R>(
                         Err(_) => break, // pool dropped: fit is over
                     };
                     let tile = layout.tile(job.index);
-                    let result = job.task.run(&tile, points, metric, fast_math);
+                    let result = job.task.run(&tile, points, metric);
                     if tx.send((job.index, result)).is_err() {
                         break;
                     }
@@ -360,24 +319,24 @@ impl<'env> Pool<'env> {
 
     /// Cumulative **logical** work counters since pool creation: the
     /// canonical semantic passes, identical for every thread count and
-    /// for the cached and uncached engines.
+    /// with the round cache on or off.
     pub fn stats(&self) -> PoolStats {
         self.stats
     }
 
     /// Cumulative **physical** work counters since pool creation: the
-    /// fan-outs that actually ran. With the round cache active this is
-    /// at most [`Pool::stats`]; manifest counters only, never the
-    /// event stream.
+    /// fan-outs that actually ran. They can be above or below
+    /// [`Pool::stats`] (see [`PoolStats`]); manifest counters only,
+    /// never the event stream.
     pub fn physical_stats(&self) -> PoolStats {
         self.physical
     }
 
     /// Book one logical pass (a full sweep over every row block)
-    /// without running anything. The round cache calls this for every
-    /// semantic pass it serves — fully or partially — from cache, so
-    /// the logical counters embedded in `round` events stay identical
-    /// to the uncached engine's.
+    /// without running anything. The round cache calls this once for
+    /// every semantic pass, whatever physical work it then runs, so the
+    /// logical counters embedded in `round` events do not depend on
+    /// what the cache retained.
     pub(crate) fn note_logical_pass(&mut self) {
         self.stats.dispatches += 1;
         self.stats.blocks += self.layout.len() as u64;
@@ -418,20 +377,8 @@ impl<'env> Pool<'env> {
         self.prune
     }
 
-    /// Whether assignment passes engage the `f32` exactness-gated
-    /// screen.
-    pub fn fast_math_enabled(&self) -> bool {
-        self.fast_math
-    }
-
-    /// Cumulative fast-path counters since pool creation
-    /// (manifest-only, like [`Pool::prune_stats`]).
-    pub fn fast_math_stats(&self) -> FastMathStats {
-        self.fstats
-    }
-
     /// Fan a task out over all row blocks, booking both a logical and a
-    /// physical pass (the default for the uncached full passes).
+    /// physical pass.
     fn dispatch(&mut self, task: Task) -> Vec<Partial> {
         self.note_logical_pass();
         self.dispatch_physical(task)
@@ -445,7 +392,7 @@ impl<'env> Pool<'env> {
         let total = self.layout.len();
         self.physical.dispatches += 1;
         self.physical.blocks += total as u64;
-        let (points, metric, fast_math) = (self.points, self.metric, self.fast_math);
+        let (points, metric) = (self.points, self.metric);
         let mut results: Vec<Option<BlockResult>> = (0..total).map(|_| None).collect();
         if let Mode::Pooled { job_tx, result_rx } = &self.mode {
             let mut queued = 0usize;
@@ -478,10 +425,8 @@ impl<'env> Pool<'env> {
         // with the exact serial result.
         let mut partials = Vec::with_capacity(total);
         for (tile, slot) in self.layout.tiles().zip(results) {
-            let (partial, prune, fstats) =
-                slot.unwrap_or_else(|| task.run(&tile, points, metric, fast_math));
+            let (partial, prune) = slot.unwrap_or_else(|| task.run(&tile, points, metric));
             self.prune.merge(prune);
-            self.fstats.merge(fstats);
             partials.push(partial);
         }
         partials
@@ -563,45 +508,6 @@ impl<'env> Pool<'env> {
             }
         }
         cols
-    }
-
-    /// Plain assignment pass (no `X` accumulation).
-    pub fn assign(&mut self, medoids: &[usize], dims: &[Vec<usize>]) -> Vec<usize> {
-        let partials = self.dispatch(Task::Assign {
-            medoids: Arc::new(medoids.to_vec()),
-            dims: Arc::new(dims.to_vec()),
-        });
-        let mut flat = Vec::with_capacity(self.points.rows());
-        for p in partials {
-            match p {
-                Partial::Assign(mut a) => flat.append(&mut a),
-                _ => unreachable!("assign task returns assign partials"),
-            }
-        }
-        flat
-    }
-
-    /// Assignment fused with the cluster-based `X` averages of the
-    /// resulting clusters (consumed by the next inner refinement).
-    pub fn assign_x(
-        &mut self,
-        medoids: &[usize],
-        dims: &[Vec<usize>],
-    ) -> (Vec<usize>, Vec<Vec<f64>>) {
-        let k = medoids.len();
-        let d = self.points.cols();
-        let partials = self.dispatch(Task::AssignX {
-            medoids: Arc::new(medoids.to_vec()),
-            dims: Arc::new(dims.to_vec()),
-        });
-        let parts = partials
-            .into_iter()
-            .map(|p| match p {
-                Partial::AssignX(a) => a,
-                _ => unreachable!("assign_x task returns assign_x partials"),
-            })
-            .collect();
-        kernel::merge_assign_x(parts, k, d)
     }
 
     /// Cluster-based `X` averages for a fixed assignment (outliers —
@@ -691,32 +597,22 @@ mod tests {
         let deltas = medoid_deltas(&points, &medoids, metric);
         let spheres = crate::refine::spheres_of_influence(&points, &medoids, &dims, metric);
 
-        let serial = with_pool(&points, metric, 1, false, |pool| {
+        let passes = |pool: &mut Pool<'_>| {
             let fused = pool.fused_round(&medoids, &deltas);
-            let assign = pool.assign(&medoids, &dims);
-            let ax = pool.assign_x(&medoids, &dims);
-            let asg: Arc<Vec<Option<usize>>> = Arc::new(assign.iter().map(|&a| Some(a)).collect());
+            let cols = pool.distance_columns(&medoids, &dims);
+            let asg: Arc<Vec<Option<usize>>> =
+                Arc::new((0..points.rows()).map(|p| Some(p % 3)).collect());
             let cx = pool.cluster_x(&medoids, asg);
             let ra = pool.refine_assign(&medoids, &dims, &spheres);
-            (fused, assign, ax, cx, ra)
-        });
-
+            (fused, cols, cx, ra)
+        };
+        let serial = with_pool(&points, metric, 1, passes);
         for threads in [2, 3, 8, 64] {
-            let pooled = with_pool(&points, metric, threads, false, |pool| {
-                let fused = pool.fused_round(&medoids, &deltas);
-                let assign = pool.assign(&medoids, &dims);
-                let ax = pool.assign_x(&medoids, &dims);
-                let asg: Arc<Vec<Option<usize>>> =
-                    Arc::new(assign.iter().map(|&a| Some(a)).collect());
-                let cx = pool.cluster_x(&medoids, asg);
-                let ra = pool.refine_assign(&medoids, &dims, &spheres);
-                (fused, assign, ax, cx, ra)
-            });
+            let pooled = with_pool(&points, metric, threads, passes);
             assert_eq!(serial.0, pooled.0, "fused, threads = {threads}");
-            assert_eq!(serial.1, pooled.1, "assign, threads = {threads}");
-            assert_eq!(serial.2, pooled.2, "assign_x, threads = {threads}");
-            assert_eq!(serial.3, pooled.3, "cluster_x, threads = {threads}");
-            assert_eq!(serial.4, pooled.4, "refine, threads = {threads}");
+            assert_eq!(serial.1, pooled.1, "columns, threads = {threads}");
+            assert_eq!(serial.2, pooled.2, "cluster_x, threads = {threads}");
+            assert_eq!(serial.3, pooled.3, "refine, threads = {threads}");
         }
     }
 
@@ -733,7 +629,7 @@ mod tests {
         let deltas = medoid_deltas(&points, &medoids, metric);
 
         for threads in [1, 4] {
-            with_pool(&points, metric, threads, false, |pool| {
+            with_pool(&points, metric, threads, |pool| {
                 let (full_locs, full_x) = pool.fused_round(&medoids, &deltas);
                 for subset in [vec![1usize], vec![0, 2], vec![3, 1]] {
                     let sub_m: Vec<usize> = subset.iter().map(|&i| medoids[i]).collect();
@@ -766,7 +662,7 @@ mod tests {
         let medoids = vec![1usize, 2000];
         let metric = DistanceKind::Manhattan;
         let deltas = medoid_deltas(&points, &medoids, metric);
-        with_pool(&points, metric, 1, false, |pool| {
+        with_pool(&points, metric, 1, |pool| {
             let nblocks = kernel::blocks(points.rows()).len() as u64;
             pool.fused_round(&medoids, &deltas);
             assert_eq!(pool.stats(), pool.physical_stats());
@@ -790,25 +686,22 @@ mod tests {
         // the persistent pool).
         let points = random_points(2500, 4, 7);
         let metric = DistanceKind::Manhattan;
-        let total = with_pool(&points, metric, 4, false, |pool| {
-            let mut sum = 0usize;
+        let rounds = |pool: &mut Pool<'_>| {
+            let mut sum = 0.0f64;
             for round in 0..20 {
                 let medoids = vec![round, 1000 + round];
                 let dims = vec![vec![0, 1], vec![2, 3]];
-                sum += pool.assign(&medoids, &dims).iter().sum::<usize>();
+                sum += pool
+                    .distance_columns(&medoids, &dims)
+                    .concat()
+                    .iter()
+                    .sum::<f64>();
             }
             sum
-        });
-        let serial_total = with_pool(&points, metric, 1, false, |pool| {
-            let mut sum = 0usize;
-            for round in 0..20 {
-                let medoids = vec![round, 1000 + round];
-                let dims = vec![vec![0, 1], vec![2, 3]];
-                sum += pool.assign(&medoids, &dims).iter().sum::<usize>();
-            }
-            sum
-        });
-        assert_eq!(total, serial_total);
+        };
+        let total = with_pool(&points, metric, 4, rounds);
+        let serial_total = with_pool(&points, metric, 1, rounds);
+        assert_eq!(total.to_bits(), serial_total.to_bits());
     }
 
     /// Installing the neighbor index must not move a single bit of any
@@ -823,35 +716,33 @@ mod tests {
         let spheres = crate::refine::spheres_of_influence(&points, &medoids, &dims, metric);
 
         let run = |threads: usize, indexed: bool| {
-            with_pool(&points, metric, threads, false, |pool| {
+            with_pool(&points, metric, threads, |pool| {
                 if indexed {
                     pool.set_index(Some(Arc::new(NeighborIndex::build(&points, metric))));
                     assert!(pool.index_enabled());
                 }
                 let fused = pool.fused_round(&medoids, &deltas);
-                let assign = pool.assign(&medoids, &dims);
-                let ax = pool.assign_x(&medoids, &dims);
+                let cols = pool.distance_columns(&medoids, &dims);
                 let ra = pool.refine_assign(&medoids, &dims, &spheres);
                 let pruned = {
                     let s = pool.prune_stats();
                     s.range_sketch_pruned + s.range_triangle_pruned + s.range_prefix_pruned
                 };
-                (fused, assign, ax, ra, pruned)
+                (fused, cols, ra, pruned)
             })
         };
 
         let plain = run(1, false);
-        assert_eq!(plain.4, 0, "unindexed pool must not count prunes");
+        assert_eq!(plain.3, 0, "unindexed pool must not count prunes");
         for threads in [1, 4] {
             let indexed = run(threads, true);
             assert_eq!(plain.0, indexed.0, "fused, threads {threads}");
-            assert_eq!(plain.1, indexed.1, "assign, threads {threads}");
-            assert_eq!(plain.2, indexed.2, "assign_x, threads {threads}");
-            assert_eq!(plain.3, indexed.3, "refine, threads {threads}");
-            assert!(indexed.4 > 0, "index inert at threads {threads}");
+            assert_eq!(plain.1, indexed.1, "columns, threads {threads}");
+            assert_eq!(plain.2, indexed.2, "refine, threads {threads}");
+            assert!(indexed.3 > 0, "index inert at threads {threads}");
         }
         // The counters themselves are scheduling-independent.
-        assert_eq!(run(1, true).4, run(4, true).4);
+        assert_eq!(run(1, true).3, run(4, true).3);
     }
 
     #[test]
@@ -862,8 +753,11 @@ mod tests {
         let medoids = vec![0usize, 25];
         let dims = vec![vec![0, 1], vec![1, 2]];
         let metric = DistanceKind::Manhattan;
-        let a = with_pool(&points, metric, 8, false, |pool| {
-            pool.assign(&medoids, &dims)
+        let a = with_pool(&points, metric, 8, |pool| {
+            assert_eq!(pool.workers(), 0);
+            let cols = pool.distance_columns(&medoids, &dims);
+            let refs: Vec<&[f64]> = cols.iter().map(Vec::as_slice).collect();
+            kernel::argmin_columns(&refs, points.rows())
         });
         let b = crate::assign::assign_points(&points, &medoids, &dims, metric);
         assert_eq!(a, b);

@@ -1,28 +1,24 @@
 //! Pool-pass equivalence tier: every pass the worker pool runs — fused
-//! locality + `X`, assignment, assignment + `X`, distance columns,
-//! cluster `X` and the refinement reassignment — must equal its plain
-//! scalar reference **bit for bit**, for every metric, thread count and
-//! index setting, on matrices built to expose any deviation (exact
-//! distance ties, duplicated rows, mixed 1e±9 magnitudes) and on the
-//! whole workload zoo. The opt-in `f32` fast path must also leave the
-//! recorded event stream byte-identical.
+//! locality + `X`, distance columns, cluster `X` and the refinement
+//! reassignment — and the round cache's assignment and assignment + `X`
+//! (argmin over the distance columns, cold and warm) must equal their
+//! plain scalar references **bit for bit**, for every metric, thread
+//! count and index setting, on matrices built to expose any deviation
+//! (exact distance ties, duplicated rows, mixed 1e±9 magnitudes) and on
+//! the whole workload zoo.
 
 use proclus::core::assign::{assign_points, group_members};
+use proclus::core::cache::RoundCache;
 use proclus::core::dims::{average_dimension_distances, find_dimensions};
 use proclus::core::locality::{localities, medoid_deltas};
 use proclus::core::pool::with_pool;
 use proclus::core::refine::refine_opt;
 use proclus::core::NeighborIndex;
-use proclus::obs::JsonlRecorder;
 use proclus::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::path::PathBuf;
 use std::sync::Arc;
-
-fn tmp(name: &str) -> std::path::PathBuf {
-    std::env::temp_dir().join(format!("proclus-colmn-{name}-{}", std::process::id()))
-}
 
 /// Quantized coordinates force many exactly-equal distances, so the
 /// strict-`<` lowest-index tie-breaking is exercised everywhere.
@@ -106,8 +102,9 @@ fn assert_bits_eq(a: &[Vec<f64>], b: &[Vec<f64>], ctx: &str) {
 /// number of blocks.
 const THREADS: [usize; 7] = [1, 2, 3, 5, 8, 16, 64];
 
-/// Compare all six pool passes on `points` with their scalar
-/// references, under every metric, thread count and index setting.
+/// Compare the pool passes and the round cache's assignment passes on
+/// `points` with their scalar references, under every metric, thread
+/// count and index setting.
 /// Medoids are `k` evenly spaced rows; dimension sets come from
 /// FindDimensions over their localities.
 fn check_against_references(name: &str, points: &Matrix, k: usize) {
@@ -143,17 +140,25 @@ fn check_against_references(name: &str, points: &Matrix, k: usize) {
         for threads in THREADS {
             for indexed in [false, true] {
                 let ctx = format!("{name}/{metric:?}/t{threads}/index={indexed}");
-                with_pool(points, metric, threads, false, |pool| {
+                with_pool(points, metric, threads, |pool| {
                     if indexed {
                         pool.set_index(Some(Arc::new(NeighborIndex::build(points, metric))));
                     }
                     let (got_locs, got_x) = pool.fused_round(&medoids, &deltas);
                     assert_eq!(got_locs, locs, "{ctx}: localities");
                     assert_bits_eq(&got_x, &locality_x, &format!("{ctx}: locality X"));
-                    assert_eq!(pool.assign(&medoids, &dims), assignment, "{ctx}: assign");
-                    let (got_assign, got_ax) = pool.assign_x(&medoids, &dims);
-                    assert_eq!(got_assign, assignment, "{ctx}: assign+X winners");
-                    assert_bits_eq(&got_ax, &assign_x, &format!("{ctx}: assign+X sums"));
+                    // Cold: every column is computed; warm: every column
+                    // is served from the cache.
+                    let mut cache = RoundCache::new(true, k);
+                    let (got_assign, got_ax) = cache.assign_x(pool, &medoids, &dims);
+                    assert_eq!(got_assign, assignment, "{ctx}: cold assign+X winners");
+                    assert_bits_eq(&got_ax, &assign_x, &format!("{ctx}: cold assign+X sums"));
+                    let warm = cache.assign(pool, &medoids, &dims);
+                    assert_eq!(warm, assignment, "{ctx}: warm assign");
+                    let (got_assign, got_ax) = cache.assign_x(pool, &medoids, &dims);
+                    assert_eq!(got_assign, assignment, "{ctx}: warm assign+X winners");
+                    assert_bits_eq(&got_ax, &assign_x, &format!("{ctx}: warm assign+X sums"));
+                    assert_eq!(cache.stats().column_hits, 2 * k as u64, "{ctx}: warm hits");
                     assert_bits_eq(
                         &pool.distance_columns(&medoids, &dims),
                         &columns,
@@ -190,105 +195,4 @@ fn pool_passes_are_bit_identical_to_scalar_references() {
     for (name, points, k) in &zoo {
         check_against_references(name, points, *k);
     }
-}
-
-/// The `f32` fast path is exactness-gated: a traced fit with
-/// `fast_math(true)` must produce a byte-identical `events.jsonl` to
-/// the default fit — every locality, swap, assignment, and objective
-/// event equal element for element. The round cache is disabled so the
-/// assignment passes evaluate distances directly and the screen
-/// actually engages (with the cache on, assignment is served from
-/// cached exact columns and there is no per-pair work to screen).
-#[test]
-fn fast_math_fit_event_stream_is_byte_identical() {
-    let data = SyntheticSpec::new(1_500, 10, 3, 3.0).seed(404).generate();
-    let run = |fast: bool, tag: &str| {
-        let dir = tmp(tag);
-        let _ = std::fs::remove_dir_all(&dir);
-        let rec = JsonlRecorder::create(&dir).expect("recorder");
-        Proclus::new(3, 3.0)
-            .seed(17)
-            .restarts(2)
-            .round_cache(false)
-            .fast_math(fast)
-            .fit_traced(&data.points, &rec)
-            .expect("fit");
-        rec.finish(
-            proclus::obs::json::Json::Obj(Vec::new()),
-            proclus::obs::json::Json::Obj(Vec::new()),
-        )
-        .expect("finish");
-        let events = std::fs::read(dir.join(proclus::obs::EVENTS_FILE)).expect("events");
-        let manifest =
-            std::fs::read_to_string(dir.join(proclus::obs::MANIFEST_FILE)).expect("manifest");
-        std::fs::remove_dir_all(&dir).ok();
-        (events, manifest)
-    };
-    let (default_events, default_manifest) = run(false, "default");
-    let (fast_events, fast_manifest) = run(true, "fast");
-    assert_eq!(
-        default_events, fast_events,
-        "fast-math changed the event stream"
-    );
-    // The measurement channel differs by design: the gated run reports
-    // its work-saved counters, the default run must not.
-    assert!(
-        fast_manifest.contains("fastmath.screened"),
-        "{fast_manifest}"
-    );
-    assert!(
-        !default_manifest.contains("fastmath."),
-        "{default_manifest}"
-    );
-    // The screen must have genuinely run: a zero screened count would
-    // mean the byte-equality above proved nothing about the gate.
-    let screened = counter_value(&fast_manifest, "fastmath.screened");
-    let excluded = counter_value(&fast_manifest, "fastmath.excluded");
-    let verified = counter_value(&fast_manifest, "fastmath.verified");
-    assert!(screened > 0, "fast path never engaged: {fast_manifest}");
-    assert_eq!(screened, excluded + verified, "{fast_manifest}");
-}
-
-/// Pull a `"name": <integer>` counter out of the run manifest.
-fn counter_value(manifest: &str, name: &str) -> u64 {
-    let key = format!("\"{name}\"");
-    let at = manifest.find(&key).unwrap_or_else(|| {
-        panic!("counter {name} missing from manifest: {manifest}");
-    });
-    manifest[at + key.len()..]
-        .trim_start_matches([':', ' '])
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect::<String>()
-        .parse()
-        .unwrap_or_else(|e| panic!("counter {name} unparsable: {e}"))
-}
-
-/// Chebyshev exercises the `f32` max-reduction screen; the event
-/// stream must still be byte-identical.
-#[test]
-fn fast_math_is_exact_under_chebyshev_too() {
-    let data = SyntheticSpec::new(900, 8, 2, 3.0).seed(11).generate();
-    let run = |fast: bool, tag: &str| {
-        let dir = tmp(tag);
-        let _ = std::fs::remove_dir_all(&dir);
-        let rec = JsonlRecorder::create(&dir).expect("recorder");
-        Proclus::new(2, 3.0)
-            .seed(5)
-            .restarts(1)
-            .round_cache(false)
-            .distance(DistanceKind::Chebyshev)
-            .fast_math(fast)
-            .fit_traced(&data.points, &rec)
-            .expect("fit");
-        rec.finish(
-            proclus::obs::json::Json::Obj(Vec::new()),
-            proclus::obs::json::Json::Obj(Vec::new()),
-        )
-        .expect("finish");
-        let events = std::fs::read(dir.join(proclus::obs::EVENTS_FILE)).expect("events");
-        std::fs::remove_dir_all(&dir).ok();
-        events
-    };
-    assert_eq!(run(false, "cheb-default"), run(true, "cheb-fast"));
 }

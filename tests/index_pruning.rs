@@ -31,7 +31,7 @@ fn indexed_fused_round(
     deltas: &[f64],
     metric: DistanceKind,
 ) -> (Vec<Vec<usize>>, Vec<Vec<f64>>, PruneStats) {
-    with_pool(m, metric, 1, false, |pool| {
+    with_pool(m, metric, 1, |pool| {
         pool.set_index(Some(Arc::new(NeighborIndex::build(m, metric))));
         let (locs, x) = pool.fused_round(medoids, deltas);
         (locs, x, pool.prune_stats())

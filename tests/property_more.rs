@@ -343,8 +343,9 @@ fn orclus_is_scale_invariant_up_to_objective() {
 }
 
 /// Tie-breaking audit: "ties go to the lower cluster index" must hold
-/// identically on every assignment path — the scalar loop, and the
-/// blocked pool kernels at 1 and 4 threads with and without the
+/// identically on every assignment path — the scalar loop, the round
+/// cache's column argmin (cold and warm, retaining state or not) and
+/// the refinement pass, at 1 and 4 threads with and without the
 /// neighbor index installed. Quantized
 /// integer coordinates make exact distance ties common (including
 /// duplicated medoid rows), so any path that resolved ties by
@@ -352,6 +353,7 @@ fn orclus_is_scale_invariant_up_to_objective() {
 #[test]
 fn tie_breaking_is_identical_across_all_assignment_paths() {
     use proclus::core::assign::assign_points;
+    use proclus::core::cache::RoundCache;
     use proclus::core::index::NeighborIndex;
     use proclus::core::pool::with_pool;
     use std::sync::Arc;
@@ -405,32 +407,40 @@ fn tie_breaking_is_identical_across_all_assignment_paths() {
                 .count();
             assert!(tied > 0, "{metric:?} case {case}: no ties generated");
 
-            // Pool paths: blocked kernels, with and without the index,
-            // at 1 and 4 threads.
+            // Pool paths: the round cache's argmin over distance
+            // columns (assignment + X cold, then plain assignment warm),
+            // retaining or not, with and without the index, at 1 and 4
+            // threads.
             for threads in [1usize, 4] {
                 for indexed in [false, true] {
-                    let got = with_pool(&m, metric, threads, false, |pool| {
-                        if indexed {
-                            pool.set_index(Some(Arc::new(NeighborIndex::build(&m, metric))));
-                        }
-                        pool.assign(&medoids, &dims)
-                    });
-                    assert_eq!(
-                        reference, got,
-                        "{metric:?} case {case}: pool threads={threads} indexed={indexed}"
-                    );
+                    for retain in [false, true] {
+                        let (cold, warm) = with_pool(&m, metric, threads, |pool| {
+                            if indexed {
+                                pool.set_index(Some(Arc::new(NeighborIndex::build(&m, metric))));
+                            }
+                            let mut cache = RoundCache::new(retain, medoids.len());
+                            let (cold, _) = cache.assign_x(pool, &medoids, &dims);
+                            (cold, cache.assign(pool, &medoids, &dims))
+                        });
+                        let ctx = format!(
+                            "{metric:?} case {case}: threads={threads} indexed={indexed} \
+                             retain={retain}"
+                        );
+                        assert_eq!(reference, cold, "{ctx}: cold");
+                        assert_eq!(reference, warm, "{ctx}: warm");
+                    }
                 }
             }
 
             // Refinement path: the sphere-gated assignment breaks its
             // nearest-medoid ties the same way on every path.
             let spheres = proclus::core::refine::spheres_of_influence(&m, &medoids, &dims, metric);
-            let reference_refine = with_pool(&m, metric, 1, false, |pool| {
+            let reference_refine = with_pool(&m, metric, 1, |pool| {
                 pool.refine_assign(&medoids, &dims, &spheres)
             });
             for threads in [1usize, 4] {
                 for indexed in [false, true] {
-                    let got = with_pool(&m, metric, threads, false, |pool| {
+                    let got = with_pool(&m, metric, threads, |pool| {
                         if indexed {
                             pool.set_index(Some(Arc::new(NeighborIndex::build(&m, metric))));
                         }

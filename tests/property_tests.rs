@@ -276,16 +276,17 @@ fn brute_force(z: &[Vec<f64>], total: usize) -> f64 {
 /// accumulation order that does not depend on how blocks are scheduled.
 type RoundOutput = (Vec<Vec<usize>>, Vec<Vec<f64>>, Vec<Vec<usize>>, Vec<usize>);
 
-/// One hill-climbing round through the pool: fused locality + `X`
-/// sweep, FindDimensions, assignment.
+/// One hill-climbing round through the pool and the round cache: fused
+/// locality + `X` sweep, FindDimensions, assignment.
 fn pooled_round(
     pool: &mut proclus::core::pool::Pool<'_>,
     medoids: &[usize],
     deltas: &[f64],
 ) -> RoundOutput {
-    let (locs, x) = pool.fused_round(medoids, deltas);
+    let mut cache = proclus::core::cache::RoundCache::new(true, medoids.len());
+    let (locs, x) = cache.fused_round(pool, medoids, deltas);
     let dims = proclus::core::dims::find_dimensions_from_averages(&x, 12, true);
-    let flat = pool.assign(medoids, &dims);
+    let flat = cache.assign(pool, medoids, &dims);
     (locs, x, dims, flat)
 }
 
@@ -304,11 +305,11 @@ fn pooled_kernel_is_bit_identical_across_thread_counts() {
         let metric = DistanceKind::Manhattan;
         let deltas = medoid_deltas(points, &medoids, metric);
 
-        let reference = with_pool(points, metric, 1, false, |pool| {
+        let reference = with_pool(points, metric, 1, |pool| {
             pooled_round(pool, &medoids, &deltas)
         });
         for threads in [2usize, 8, 64] {
-            let got = with_pool(points, metric, threads, false, |pool| {
+            let got = with_pool(points, metric, threads, |pool| {
                 pooled_round(pool, &medoids, &deltas)
             });
             assert_eq!(got.0, reference.0, "localities differ at {threads} threads");
