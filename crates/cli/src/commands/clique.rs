@@ -1,8 +1,8 @@
 //! `proclus clique` — run the CLIQUE baseline on a dataset file.
 
 use crate::args::Args;
-use crate::io::read_dataset;
 use proclus_clique::{minimal_descriptions, Clique};
+use proclus_data::read_dataset;
 use std::error::Error;
 use std::io::Write;
 use std::path::PathBuf;
@@ -93,7 +93,7 @@ mod tests {
     fn runs_on_generated_data() {
         let input = tmp("in.csv");
         let data = SyntheticSpec::new(500, 5, 2, 2.0).seed(4).generate();
-        crate::io::write_dataset(input.as_ref(), &data.points, None).unwrap();
+        proclus_data::write_dataset(input.as_ref(), &data.points, None).unwrap();
         let args = Args::parse(
             toks(&format!(
                 "--input {input} --xi 8 --tau 0.02 --max-dim 3 --descriptions"
@@ -109,7 +109,7 @@ mod tests {
     fn bad_tau_errors() {
         let input = tmp("bad.csv");
         let data = SyntheticSpec::new(100, 4, 2, 2.0).seed(4).generate();
-        crate::io::write_dataset(input.as_ref(), &data.points, None).unwrap();
+        proclus_data::write_dataset(input.as_ref(), &data.points, None).unwrap();
         let args = Args::parse(
             toks(&format!("--input {input} --tau abc")),
             &["descriptions"],

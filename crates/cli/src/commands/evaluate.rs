@@ -3,7 +3,8 @@
 //! confusion-matrix methodology plus ARI/NMI.
 
 use crate::args::{ArgError, Args};
-use crate::io::{read_dataset, validate_label_ids};
+use crate::io::validate_label_ids;
+use proclus_data::read_dataset;
 use proclus_data::Label;
 use proclus_eval::{adjusted_rand_index, normalized_mutual_information, ConfusionMatrix};
 use std::error::Error;
@@ -83,9 +84,9 @@ mod tests {
         let truth_file = tmp("t.csv");
         let found_file = tmp("f.csv");
         let data = SyntheticSpec::new(200, 4, 2, 2.0).seed(8).generate();
-        crate::io::write_dataset(truth_file.as_ref(), &data.points, Some(&data.labels)).unwrap();
+        proclus_data::write_dataset(truth_file.as_ref(), &data.points, Some(&data.labels)).unwrap();
         // "Found" = the truth itself: perfect scores expected.
-        crate::io::write_dataset(found_file.as_ref(), &data.points, Some(&data.labels)).unwrap();
+        proclus_data::write_dataset(found_file.as_ref(), &data.points, Some(&data.labels)).unwrap();
         let args = Args::parse(
             toks(&format!("--found {found_file} --truth {truth_file}")),
             &[],
@@ -100,7 +101,7 @@ mod tests {
     fn missing_label_column_errors() {
         let f = tmp("nolab.csv");
         let m = Matrix::from_rows(&[[0.0], [1.0]], 1);
-        crate::io::write_dataset(f.as_ref(), &m, None).unwrap();
+        proclus_data::write_dataset(f.as_ref(), &m, None).unwrap();
         let args = Args::parse(toks(&format!("--found {f} --truth {f}")), &[]).unwrap();
         assert!(run(&args, &mut Vec::new()).is_err());
         std::fs::remove_file(&f).ok();
@@ -112,8 +113,8 @@ mod tests {
         let b = tmp("b.csv");
         let d1 = SyntheticSpec::new(100, 4, 2, 2.0).seed(1).generate();
         let d2 = SyntheticSpec::new(50, 4, 2, 2.0).seed(1).generate();
-        crate::io::write_dataset(a.as_ref(), &d1.points, Some(&d1.labels)).unwrap();
-        crate::io::write_dataset(b.as_ref(), &d2.points, Some(&d2.labels)).unwrap();
+        proclus_data::write_dataset(a.as_ref(), &d1.points, Some(&d1.labels)).unwrap();
+        proclus_data::write_dataset(b.as_ref(), &d2.points, Some(&d2.labels)).unwrap();
         let args = Args::parse(toks(&format!("--found {a} --truth {b}")), &[]).unwrap();
         assert!(run(&args, &mut Vec::new()).is_err());
         std::fs::remove_file(&a).ok();

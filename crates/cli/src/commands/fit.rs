@@ -1,8 +1,9 @@
 //! `proclus fit` — run PROCLUS on a dataset file.
 
 use crate::args::{ArgError, Args};
-use crate::io::{assignment_labels, read_dataset, write_dataset};
+use crate::io::assignment_labels;
 use proclus_core::{Proclus, ProclusModel};
+use proclus_data::{read_dataset, write_dataset};
 use proclus_math::DistanceKind;
 use proclus_obs::json::Json;
 use proclus_obs::{Fanout, JsonlRecorder, RingRecorder, TraceSummary};
@@ -13,7 +14,8 @@ use std::path::{Path, PathBuf};
 pub const HELP: &str = "\
 proclus fit — PROCLUS projected clustering (SIGMOD 1999)
 
-  --input <path>    dataset file (.csv or binary) (required)
+  --input <path>    dataset file; format by extension, any case (.csv text,
+                    .chunks PRCK frames, else PRCL binary) (required)
   --k <usize>       number of clusters (required)
   --l <f64>         average dimensions per cluster (required)
   --seed <u64>      PRNG seed [default 0]
@@ -39,7 +41,8 @@ proclus fit — PROCLUS projected clustering (SIGMOD 1999)
                     swap history) plus fit diagnostics
   --trace-out <dir> stream events.jsonl + run.json into this directory
                     (inspect later with `proclus inspect-trace`)
-  --out <path>      write points + assignment labels to this file
+  --out <path>      write points + assignment labels to this file (format
+                    by extension as for --input; .chunks keeps no labels)
 ";
 
 /// Ring capacity for the `--verbose` summary; old events are evicted
@@ -190,7 +193,7 @@ mod tests {
         let input = tmp("in.csv");
         let out = tmp("out.csv");
         let data = SyntheticSpec::new(400, 6, 2, 3.0).seed(2).generate();
-        crate::io::write_dataset(input.as_ref(), &data.points, None).unwrap();
+        proclus_data::write_dataset(input.as_ref(), &data.points, None).unwrap();
 
         let args = Args::parse(
             toks(&format!("--input {input} --k 2 --l 3 --seed 1 --out {out}")),
@@ -198,7 +201,7 @@ mod tests {
         )
         .unwrap();
         run(&args, &mut Vec::new()).unwrap();
-        let (points, labels) = crate::io::read_dataset(out.as_ref()).unwrap();
+        let (points, labels) = proclus_data::read_dataset(out.as_ref()).unwrap();
         std::fs::remove_file(&input).ok();
         std::fs::remove_file(&out).ok();
         assert_eq!(points.rows(), 400);
@@ -209,7 +212,7 @@ mod tests {
     fn verbose_prints_diagnostics() {
         let input = tmp("verb.csv");
         let data = SyntheticSpec::new(300, 5, 2, 3.0).seed(4).generate();
-        crate::io::write_dataset(input.as_ref(), &data.points, None).unwrap();
+        proclus_data::write_dataset(input.as_ref(), &data.points, None).unwrap();
         let args = Args::parse(
             toks(&format!("--input {input} --k 2 --l 3 --verbose")),
             &["paper-literal", "verbose"],
@@ -232,7 +235,7 @@ mod tests {
         let dir =
             std::env::temp_dir().join(format!("proclus-cli-fit-trace-{}", std::process::id()));
         let data = SyntheticSpec::new(300, 5, 2, 3.0).seed(3).generate();
-        crate::io::write_dataset(input.as_ref(), &data.points, None).unwrap();
+        proclus_data::write_dataset(input.as_ref(), &data.points, None).unwrap();
         let args = Args::parse(
             toks(&format!(
                 "--input {input} --k 2 --l 3 --trace-out {}",
@@ -261,7 +264,7 @@ mod tests {
     fn no_round_cache_flag_changes_nothing_but_the_manifest() {
         let input = tmp("nrc.csv");
         let data = SyntheticSpec::new(300, 5, 2, 3.0).seed(8).generate();
-        crate::io::write_dataset(input.as_ref(), &data.points, None).unwrap();
+        proclus_data::write_dataset(input.as_ref(), &data.points, None).unwrap();
         let run_with = |extra: &str| {
             let args = Args::parse(
                 toks(&format!("--input {input} --k 2 --l 3 --seed 2{extra}")),
@@ -287,7 +290,7 @@ mod tests {
     fn no_index_flag_changes_nothing_but_the_manifest() {
         let input = tmp("noidx.csv");
         let data = SyntheticSpec::new(300, 5, 2, 3.0).seed(9).generate();
-        crate::io::write_dataset(input.as_ref(), &data.points, None).unwrap();
+        proclus_data::write_dataset(input.as_ref(), &data.points, None).unwrap();
         let run_with = |extra: &str| {
             let args = Args::parse(
                 toks(&format!("--input {input} --k 2 --l 3 --seed 2{extra}")),
@@ -322,7 +325,7 @@ mod tests {
     fn unwritable_trace_dir_fails_with_located_io_error() {
         let input = tmp("badtrace.csv");
         let data = SyntheticSpec::new(200, 5, 2, 2.0).seed(5).generate();
-        crate::io::write_dataset(input.as_ref(), &data.points, None).unwrap();
+        proclus_data::write_dataset(input.as_ref(), &data.points, None).unwrap();
         // A *file* where the trace directory's parent should be makes
         // every create under it fail naturally (works even as root,
         // where permission bits are ignored).
@@ -358,7 +361,7 @@ mod tests {
     fn invalid_params_surface_as_errors() {
         let input = tmp("bad.csv");
         let data = SyntheticSpec::new(50, 4, 2, 2.0).seed(1).generate();
-        crate::io::write_dataset(input.as_ref(), &data.points, None).unwrap();
+        proclus_data::write_dataset(input.as_ref(), &data.points, None).unwrap();
         // l > d.
         let args = Args::parse(
             toks(&format!("--input {input} --k 2 --l 9")),

@@ -2,7 +2,7 @@
 //! (the paper's §4.1 generator).
 
 use crate::args::{ArgError, Args};
-use crate::io::write_dataset;
+use proclus_data::write_dataset;
 use proclus_data::SyntheticSpec;
 use std::error::Error;
 use std::io::Write;
@@ -20,7 +20,9 @@ proclus generate — synthesize a projected-cluster dataset (SIGMOD 1999, 4.1)
   --outliers <f>         outlier fraction [default 0.05]
   --min-size-ratio <f>   cluster size floor vs even share [default 0.5]
   --seed <u64>           PRNG seed [default 0]
-  --out <path>           output file (.csv = text, else binary) (required)
+  --out <path>           output file; format by extension, any case (.csv
+                         text, .chunks PRCK frames without labels, else
+                         PRCL binary) (required)
   --no-labels            omit the ground-truth label column
 ";
 
@@ -90,7 +92,7 @@ mod tests {
         )
         .unwrap();
         run(&args, &mut Vec::new()).unwrap();
-        let (m, labels) = crate::io::read_dataset(out.as_ref()).unwrap();
+        let (m, labels) = proclus_data::read_dataset(out.as_ref()).unwrap();
         std::fs::remove_file(&out).ok();
         assert_eq!(m.rows(), 200);
         assert_eq!(m.cols(), 6);
@@ -108,7 +110,7 @@ mod tests {
         )
         .unwrap();
         run(&args, &mut Vec::new()).unwrap();
-        let (_, labels) = crate::io::read_dataset(out.as_ref()).unwrap();
+        let (_, labels) = proclus_data::read_dataset(out.as_ref()).unwrap();
         std::fs::remove_file(&out).ok();
         assert!(labels.is_none());
     }

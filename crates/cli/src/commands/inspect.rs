@@ -2,7 +2,8 @@
 //! statistics, label histogram.
 
 use crate::args::Args;
-use crate::io::{read_dataset, validate_label_ids};
+use crate::io::validate_label_ids;
+use proclus_data::read_dataset;
 use proclus_data::Label;
 use proclus_math::stats::Welford;
 use std::error::Error;
@@ -12,7 +13,8 @@ use std::path::PathBuf;
 pub const HELP: &str = "\
 proclus inspect — summarize a dataset file
 
-  --input <path>   dataset file (.csv or binary) (required)
+  --input <path>   dataset file; format by extension, any case (.csv text,
+                   .chunks PRCK frames, else PRCL binary) (required)
   --dims <usize>   print at most this many per-dimension rows [default 25]
 ";
 
@@ -112,7 +114,7 @@ mod tests {
     fn summarizes_labeled_file() {
         let f = tmp("a.csv");
         let data = SyntheticSpec::new(300, 5, 2, 2.0).seed(1).generate();
-        crate::io::write_dataset(f.as_ref(), &data.points, Some(&data.labels)).unwrap();
+        proclus_data::write_dataset(f.as_ref(), &data.points, Some(&data.labels)).unwrap();
         let args = Args::parse(toks(&format!("--input {f}")), &[]).unwrap();
         let mut buf = Vec::new();
         run(&args, &mut buf).unwrap();
@@ -127,7 +129,7 @@ mod tests {
     fn dims_cap_truncates_output() {
         let f = tmp("b.csv");
         let data = SyntheticSpec::new(100, 8, 2, 2.0).seed(1).generate();
-        crate::io::write_dataset(f.as_ref(), &data.points, None).unwrap();
+        proclus_data::write_dataset(f.as_ref(), &data.points, None).unwrap();
         let args = Args::parse(toks(&format!("--input {f} --dims 3")), &[]).unwrap();
         let mut buf = Vec::new();
         run(&args, &mut buf).unwrap();

@@ -1,8 +1,8 @@
 //! `proclus orclus` — generalized (oriented) projected clustering.
 
 use crate::args::Args;
-use crate::io::{read_dataset, write_dataset};
 use proclus_data::Label;
+use proclus_data::{read_dataset, write_dataset};
 use proclus_orclus::Orclus;
 use std::error::Error;
 use std::io::Write;
@@ -90,7 +90,7 @@ mod tests {
             .fixed_dims(vec![2, 2])
             .seed(6)
             .generate();
-        crate::io::write_dataset(input.as_ref(), &data.points, None).unwrap();
+        proclus_data::write_dataset(input.as_ref(), &data.points, None).unwrap();
         let args = Args::parse(
             toks(&format!(
                 "--input {input} --k 2 --l 2 --seed 1 --k0 6 --out {out}"
@@ -99,7 +99,7 @@ mod tests {
         )
         .unwrap();
         run(&args, &mut Vec::new()).unwrap();
-        let (_, labels) = crate::io::read_dataset(out.as_ref()).unwrap();
+        let (_, labels) = proclus_data::read_dataset(out.as_ref()).unwrap();
         std::fs::remove_file(&input).ok();
         std::fs::remove_file(&out).ok();
         assert_eq!(labels.unwrap().len(), 300);
@@ -109,7 +109,7 @@ mod tests {
     fn invalid_l_errors() {
         let input = tmp("bad.csv");
         let data = SyntheticSpec::new(100, 4, 2, 2.0).seed(1).generate();
-        crate::io::write_dataset(input.as_ref(), &data.points, None).unwrap();
+        proclus_data::write_dataset(input.as_ref(), &data.points, None).unwrap();
         let args = Args::parse(toks(&format!("--input {input} --k 2 --l 99")), &[]).unwrap();
         assert!(run(&args, &mut Vec::new()).is_err());
         std::fs::remove_file(&input).ok();

@@ -3,24 +3,24 @@
 //! subspaces, size laws, typed columns, drift epochs), streaming rows
 //! straight to disk.
 
-use crate::args::{ArgError, Args};
+use crate::args::Args;
+use proclus_data::chunks::BATCH_ROWS;
 use proclus_data::scenario::ScenarioSpec;
-use proclus_data::DataError;
+use proclus_data::{DataError, Format};
 use proclus_obs::json::Json;
 use proclus_obs::{Event, JsonlRecorder, Recorder};
 use std::error::Error;
 use std::io::Write;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 pub const HELP: &str = "\
 proclus scenario — generate a workload scenario from a .scn spec file
 
   --spec <file.scn>   canonical scenario spec (required)
-  --out <path>        output file; format from extension unless --format
+  --out <path>        output file; format by extension, any case
                       (.csv = labeled text, .chunks = PRCK frames,
                       anything else = labeled PRCL binary)
-  --format <name>     force csv | prcl | chunks regardless of extension
-  --batch-rows <n>    rows per PRCK frame for chunks output [default 256]
+  --batch-rows <n>    rows per PRCK frame for .chunks output [default 256]
   --trace-out <dir>   write a scenario_meta trace (events.jsonl + run.json)
   --print-canonical   print the parsed spec in canonical form
 
@@ -28,42 +28,13 @@ Without --out the scenario is generated and summarized (digest, truth)
 but not written — a dry run that still validates determinism.
 ";
 
-/// Output encodings the command can stream to.
-enum Format {
-    Csv,
-    Prcl,
-    Chunks,
-}
-
-fn pick_format(args: &Args, out: &Path) -> Result<Format, ArgError> {
-    if let Some(name) = args.get("format") {
-        return match name {
-            "csv" => Ok(Format::Csv),
-            "prcl" => Ok(Format::Prcl),
-            "chunks" => Ok(Format::Chunks),
-            other => Err(ArgError(format!(
-                "--format: expected csv|prcl|chunks, got {other:?}"
-            ))),
-        };
-    }
-    Ok(match out.extension().and_then(|e| e.to_str()) {
-        Some("csv") => Format::Csv,
-        Some("chunks") => Format::Chunks,
-        _ => Format::Prcl,
-    })
-}
-
 /// Run the command; prints a deterministic summary on success.
 pub fn run(args: &Args, out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
     let spec_path = PathBuf::from(args.require("spec")?);
     let out_path = args.get("out").map(PathBuf::from);
-    let batch_rows: usize = args.get_parsed("batch-rows", 256usize)?;
+    let batch_rows: usize = args.get_parsed("batch-rows", BATCH_ROWS)?;
     let trace_dir = args.get("trace-out").map(PathBuf::from);
     let print_canonical = args.switch("print-canonical");
-    let format = match &out_path {
-        Some(p) => Some(pick_format(args, p)?),
-        None => None,
-    };
     args.reject_unknown()?;
 
     let text = std::fs::read_to_string(&spec_path).map_err(|e| DataError::io(&spec_path, e))?;
@@ -87,12 +58,12 @@ pub fn run(args: &Args, out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
     }
 
     let digest = spec.digest()?;
-    let truth = match (&out_path, format) {
-        (Some(path), Some(Format::Csv)) => spec.write_csv(path)?,
-        (Some(path), Some(Format::Prcl)) => spec.write_prcl(path)?,
-        (Some(path), Some(Format::Chunks)) => spec.write_chunks(path, batch_rows)?,
+    let truth = match out_path.as_deref().map(|p| (p, Format::from_path(p))) {
+        Some((path, Format::Csv)) => spec.write_csv(path)?,
+        Some((path, Format::Prcl)) => spec.write_prcl(path)?,
+        Some((path, Format::Chunks)) => spec.write_chunks(path, batch_rows)?,
         // Dry run: generate (and digest) without writing anything.
-        _ => spec.for_each_row(|_, _, _| {})?,
+        None => spec.for_each_row(|_, _, _| {})?,
     };
 
     if let Some(rec) = &jsonl {
@@ -197,17 +168,9 @@ seed 11
             )
             .unwrap();
             run(&args, &mut Vec::new()).unwrap();
-            if ext == "chunks" {
-                let bytes = std::fs::read(&out).unwrap();
-                let rows: usize = proclus_data::ChunkReader::new(&bytes)
-                    .map(|c| c.unwrap().rows())
-                    .sum();
-                assert_eq!(rows, expect_rows);
-            } else {
-                let (m, labels) = crate::io::read_dataset(&out).unwrap();
-                assert_eq!(m.rows(), expect_rows);
-                assert!(labels.is_some(), "{ext} keeps labels");
-            }
+            let (m, labels) = proclus_data::read_dataset(&out).unwrap();
+            assert_eq!(m.rows(), expect_rows);
+            assert_eq!(labels.is_some(), ext != "chunks", "{ext} labels");
             std::fs::remove_file(&out).ok();
         }
         std::fs::remove_file(&spec).ok();
@@ -272,19 +235,8 @@ seed 11
     }
 
     #[test]
-    fn unknown_format_and_flags_error() {
+    fn unknown_flags_error() {
         let spec = write_spec("flags.scn", SPEC);
-        let out = tmp("flags-out.prcl");
-        let args = Args::parse(
-            toks(&format!(
-                "--spec {} --out {} --format parquet",
-                spec.display(),
-                out.display()
-            )),
-            &[],
-        )
-        .unwrap();
-        assert!(run(&args, &mut Vec::new()).is_err());
         let args = Args::parse(toks(&format!("--spec {} --bogus 1", spec.display())), &[]).unwrap();
         assert!(run(&args, &mut Vec::new()).is_err());
         std::fs::remove_file(&spec).ok();

@@ -1,17 +1,19 @@
 //! `proclus stream` — continuous ingest with drift-triggered, gated
 //! model rollover against a crash-safe registry.
 //!
-//! Input datasets are framed into `PRCK` chunks and then *decoded*
-//! through the same fault-tolerant reader a network tail would use, so
-//! corrupt frames exercise the real quarantine path end to end.
+//! `.chunks` inputs are read frame by frame through the same
+//! fault-tolerant reader a network tail would use, so a corrupt frame
+//! is quarantined as one batch and the stream reads on; every other
+//! input is loaded whole and ingested in `--batch`-row slices.
 
 use crate::args::{ArgError, Args};
 use crate::commands::fit::parse_metric;
-use crate::io::read_dataset;
 use proclus_core::{
-    GateConfig, Proclus, RecoveryReport, StreamConfig, StreamDiagnostics, StreamServer,
+    BatchReport, GateConfig, Proclus, RecoveryReport, RolloverOutcome, StreamConfig,
+    StreamDiagnostics, StreamServer,
 };
-use proclus_data::ChunkReader;
+use proclus_data::{read_dataset, ChunkReader, DataError, Format};
+use proclus_math::Matrix;
 use proclus_obs::json::Json;
 use proclus_obs::{Fanout, JsonlRecorder, Recorder, RingRecorder, TraceSummary};
 use std::error::Error;
@@ -21,9 +23,9 @@ use std::path::PathBuf;
 pub const HELP: &str = "\
 proclus stream — continuous ingest, drift detection, gated rollover
 
-  --input <paths>   comma-separated dataset files, ingested in order
-                    (.csv / binary datasets are framed into chunked
-                    batches; .chunks files are raw PRCK frame streams)
+  --input <paths>   comma-separated dataset files, ingested in order;
+                    format by extension, any case (.csv text, .chunks
+                    PRCK frames, one batch each, else PRCL binary)
                     (required)
   --registry <dir>  model registry directory (created if missing; a
                     recovery scan quarantines partial/corrupt entries)
@@ -32,7 +34,7 @@ proclus stream — continuous ingest, drift detection, gated rollover
   --l <f64>         average dimensions per cluster (required)
 
 stream knobs:
-  --batch <n>           rows per ingested batch [default 256]
+  --batch <n>           rows per batch of non-.chunks input [default 256]
   --window <n>          sliding-window capacity [default 2048]
   --min-fit <n>         points required before any fit [default 512]
   --reservoir <n>       reference-reservoir capacity [default 256]
@@ -206,33 +208,39 @@ pub fn run(args: &Args, out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
         StreamServer::new(params.clone(), config.clone(), gates, &registry_dir, rec)?;
     describe_recovery(out, &recovery)?;
 
-    // Ingest every input through the chunk framing + fault-tolerant
-    // decode path; corrupt frames become quarantined batches, never
-    // aborts.
+    // Corrupt frames of a `.chunks` input become quarantined batches,
+    // never aborts.
     let mut rollovers: Vec<String> = Vec::new();
+    let mut ingest = |report: BatchReport| {
+        if let Some(roll) = &report.rollover {
+            rollovers.push(match &roll.outcome {
+                RolloverOutcome::Promoted { generation } => format!(
+                    "rebuild {} [{}]: promoted as generation {generation}",
+                    roll.rebuild, roll.trigger
+                ),
+                RolloverOutcome::RolledBack { stage, reason } => format!(
+                    "rebuild {} [{}]: rolled back at {stage} ({reason})",
+                    roll.rebuild, roll.trigger
+                ),
+            });
+        }
+    };
     for path in &inputs {
-        let bytes = if path.extension().and_then(|e| e.to_str()) == Some("chunks") {
-            std::fs::read(path).map_err(|e| proclus_data::DataError::io(path, e))?
+        if Format::from_path(path) == Format::Chunks {
+            let bytes = std::fs::read(path).map_err(|e| DataError::io(path, e))?;
+            for frame in ChunkReader::new(&bytes) {
+                ingest(match frame {
+                    Ok(batch) => server.ingest_batch(&batch),
+                    Err(_) => server.quarantine_corrupt(),
+                });
+            }
         } else {
             let (points, _) = read_dataset(path)?;
-            proclus_data::encode_chunk_stream(&points, batch_rows)?
-        };
-        for frame in ChunkReader::new(&bytes) {
-            let report = match frame {
-                Ok(batch) => server.ingest_batch(&batch),
-                Err(_) => server.quarantine_corrupt(),
-            };
-            if let Some(roll) = &report.rollover {
-                rollovers.push(match &roll.outcome {
-                    proclus_core::RolloverOutcome::Promoted { generation } => format!(
-                        "rebuild {} [{}]: promoted as generation {generation}",
-                        roll.rebuild, roll.trigger
-                    ),
-                    proclus_core::RolloverOutcome::RolledBack { stage, reason } => format!(
-                        "rebuild {} [{}]: rolled back at {stage} ({reason})",
-                        roll.rebuild, roll.trigger
-                    ),
-                });
+            let cols = points.cols();
+            for start in (0..points.rows()).step_by(batch_rows) {
+                let end = (start + batch_rows).min(points.rows());
+                let cells = points.as_slice()[start * cols..end * cols].to_vec();
+                ingest(server.ingest_batch(&Matrix::from_vec(cells, end - start, cols)));
             }
         }
     }
@@ -313,7 +321,7 @@ mod tests {
         let registry = tmp("boot-reg");
         let _ = std::fs::remove_dir_all(&registry);
         let data = SyntheticSpec::new(600, 6, 2, 3.0).seed(5).generate();
-        crate::io::write_dataset(&input, &data.points, None).unwrap();
+        proclus_data::write_dataset(&input, &data.points, None).unwrap();
         let args = Args::parse(
             toks(&format!(
                 "--input {} --registry {} --k 2 --l 3 --batch 100 --window 400 \
@@ -380,7 +388,7 @@ mod tests {
         let input = tmp("badcfg.csv");
         let registry = tmp("badcfg-reg");
         let data = SyntheticSpec::new(100, 4, 2, 2.0).seed(1).generate();
-        crate::io::write_dataset(&input, &data.points, None).unwrap();
+        proclus_data::write_dataset(&input, &data.points, None).unwrap();
         let args = Args::parse(
             toks(&format!(
                 "--input {} --registry {} --k 2 --l 2 --patience 0",
@@ -404,7 +412,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&registry);
         let _ = std::fs::remove_dir_all(&trace);
         let data = SyntheticSpec::new(500, 5, 2, 2.0).seed(7).generate();
-        crate::io::write_dataset(&input, &data.points, None).unwrap();
+        proclus_data::write_dataset(&input, &data.points, None).unwrap();
         let args = Args::parse(
             toks(&format!(
                 "--input {} --registry {} --k 2 --l 2 --batch 100 --window 400 \

@@ -1,39 +1,7 @@
-//! Format-dispatching dataset I/O for the CLI: `.csv` files use the
-//! textual format, anything else the compact binary format.
+//! Dataset checks and label conversions shared by the CLI commands.
 
-use proclus_data::io as csvio;
-use proclus_data::{binio, DataError, Label};
-use proclus_math::Matrix;
+use proclus_data::Label;
 use std::path::Path;
-
-/// Is this path a CSV file (by extension, case-insensitive)?
-pub fn is_csv(path: &Path) -> bool {
-    path.extension()
-        .and_then(|e| e.to_str())
-        .is_some_and(|e| e.eq_ignore_ascii_case("csv"))
-}
-
-/// Read points and optional labels, dispatching on the extension.
-pub fn read_dataset(path: &Path) -> Result<(Matrix, Option<Vec<Label>>), DataError> {
-    if is_csv(path) {
-        csvio::read_csv(path)
-    } else {
-        binio::read_binary(path)
-    }
-}
-
-/// Write points and optional labels, dispatching on the extension.
-pub fn write_dataset(
-    path: &Path,
-    points: &Matrix,
-    labels: Option<&[Label]>,
-) -> Result<(), DataError> {
-    if is_csv(path) {
-        csvio::write_csv(path, points, labels)
-    } else {
-        binio::write_binary(path, points, labels)
-    }
-}
 
 /// A dataset whose bytes parsed but whose *content* is semantically
 /// unusable — e.g. a cluster label id far beyond the row count, which
@@ -81,33 +49,6 @@ pub fn assignment_labels(assignment: &[Option<usize>]) -> Vec<Label> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::path::PathBuf;
-
-    fn tmp(name: &str) -> PathBuf {
-        std::env::temp_dir().join(format!("proclus-cli-io-{name}-{}", std::process::id()))
-    }
-
-    #[test]
-    fn extension_dispatch() {
-        assert!(is_csv(Path::new("a.csv")));
-        assert!(is_csv(Path::new("a.CSV")));
-        assert!(!is_csv(Path::new("a.prcl")));
-        assert!(!is_csv(Path::new("a")));
-    }
-
-    #[test]
-    fn roundtrip_both_formats() {
-        let m = Matrix::from_rows(&[[1.0, 2.0], [3.0, 4.0]], 2);
-        let labels = vec![Label::Cluster(1), Label::Outlier];
-        for name in ["x.csv", "x.prcl"] {
-            let path = tmp(name);
-            write_dataset(&path, &m, Some(&labels)).unwrap();
-            let (m2, l2) = read_dataset(&path).unwrap();
-            std::fs::remove_file(&path).ok();
-            assert_eq!(m, m2, "{name}");
-            assert_eq!(l2.as_deref(), Some(labels.as_slice()), "{name}");
-        }
-    }
 
     #[test]
     fn label_id_validation() {

@@ -31,8 +31,8 @@ commands:
   inspect-trace  summarize a fit trace written by `fit --trace-out`
   help       show this message (or `proclus <command> --help`)
 
-Dataset files ending in .csv are text; any other extension uses the
-compact binary format.
+A dataset file's format is named by its extension, in any case: .csv is
+text, .chunks is PRCK frames (no labels), anything else is PRCL binary.
 
 exit codes:
   0   success (including degraded-but-usable fits; see --verbose)

@@ -21,11 +21,12 @@
 //! allocation larger than the file itself.
 
 use crate::error::DataError;
+use crate::format::{push_rows, required, RowWriter};
 use crate::label::Label;
-use proclus_math::Matrix;
+use proclus_math::{fnv1a64_continue, Matrix};
 use std::fs;
 use std::io::{BufWriter, Write};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// File magic opening every `PRCL` binary dataset (public so format
 /// sniffers — e.g. the serving daemon's upload endpoint — can route a
@@ -41,36 +42,104 @@ const VERSION: u8 = 1;
 /// [`DataError::LengthMismatch`] if `labels` is present with a length
 /// different from the point count.
 pub fn encode(points: &Matrix, labels: Option<&[Label]>) -> Result<Vec<u8>, DataError> {
-    if let Some(ls) = labels {
-        if ls.len() != points.rows() {
+    let (rows, cols) = (points.rows(), points.cols());
+    let len = 22 + rows * cols * 8 + labels.map_or(0, |_| rows * 8);
+    let sink = Vec::with_capacity(len);
+    let mut out = PrclWriter::new(sink, Path::new(""), rows, cols, labels.is_some())?;
+    push_rows(&mut out, points, labels)?;
+    out.finish()
+}
+
+/// Row-by-row `PRCL` encoder: the header goes out first and rows
+/// stream through, while the label column, stored after the matrix,
+/// is buffered as `i64` until `finish` appends it.
+pub(crate) struct PrclWriter<W> {
+    w: W,
+    origin: PathBuf,
+    rows: usize,
+    pushed: usize,
+    labels: Option<Vec<i64>>,
+}
+
+impl<W: Write> PrclWriter<W> {
+    /// Write the header of a `rows × cols` dataset, labeled or not, to
+    /// `w`; `origin` names `w` in errors.
+    pub(crate) fn new(
+        mut w: W,
+        origin: &Path,
+        rows: usize,
+        cols: usize,
+        labeled: bool,
+    ) -> Result<Self, DataError> {
+        let dims = [(rows as u64).to_le_bytes(), (cols as u64).to_le_bytes()];
+        let header = [
+            MAGIC.as_slice(),
+            &[VERSION, u8::from(labeled)],
+            &dims.concat(),
+        ];
+        w.write_all(&header.concat())
+            .map_err(|e| DataError::io(origin, e))?;
+        let labels = labeled.then(|| Vec::with_capacity(rows));
+        let origin = origin.into();
+        Ok(Self {
+            w,
+            origin,
+            rows,
+            pushed: 0,
+            labels,
+        })
+    }
+
+    fn put(&mut self, bytes: [u8; 8]) -> Result<(), DataError> {
+        self.w
+            .write_all(&bytes)
+            .map_err(|e| DataError::io(&self.origin, e))
+    }
+}
+
+impl<W: Write> RowWriter for PrclWriter<W> {
+    type Sink = W;
+
+    fn push(&mut self, row: &[f64], label: Option<Label>) -> Result<(), DataError> {
+        if let Some(ids) = &mut self.labels {
+            ids.push(label_id(required(label)?));
+        }
+        for v in row {
+            self.put(v.to_le_bytes())?;
+        }
+        self.pushed += 1;
+        Ok(())
+    }
+
+    /// Fails with [`DataError::LengthMismatch`] when the number of rows
+    /// pushed differs from the header's row count.
+    fn finish(mut self) -> Result<W, DataError> {
+        if self.pushed != self.rows {
             return Err(DataError::LengthMismatch {
-                what: "labels for encode",
-                expected: points.rows(),
-                got: ls.len(),
+                what: "PRCL rows pushed",
+                expected: self.rows,
+                got: self.pushed,
             });
         }
-    }
-    let mut buf = Vec::with_capacity(
-        4 + 2 + 16 + points.rows() * points.cols() * 8 + labels.map_or(0, |l| l.len() * 8),
-    );
-    buf.extend_from_slice(MAGIC);
-    buf.push(VERSION);
-    buf.push(u8::from(labels.is_some()));
-    buf.extend_from_slice(&(points.rows() as u64).to_le_bytes());
-    buf.extend_from_slice(&(points.cols() as u64).to_le_bytes());
-    for v in points.as_slice() {
-        buf.extend_from_slice(&v.to_le_bytes());
-    }
-    if let Some(ls) = labels {
-        for l in ls {
-            let id: i64 = match l {
-                Label::Cluster(i) => *i as i64,
-                Label::Outlier => -1,
-            };
-            buf.extend_from_slice(&id.to_le_bytes());
+        for id in self.labels.take().into_iter().flatten() {
+            self.put(id.to_le_bytes())?;
         }
+        Ok(self.w)
     }
-    Ok(buf)
+}
+
+/// A label as `PRCL` stores it: the cluster id, or −1 for an outlier.
+fn label_id(l: Label) -> i64 {
+    l.cluster().map_or(-1, |i| i as i64)
+}
+
+/// Fold one row and its label, encoded as `PRCL` encodes them, into an
+/// FNV-1a state.
+pub(crate) fn fold_record(state: u64, row: &[f64], label: Label) -> u64 {
+    let h = row
+        .iter()
+        .fold(state, |h, v| fnv1a64_continue(h, &v.to_le_bytes()));
+    fnv1a64_continue(h, &label_id(label).to_le_bytes())
 }
 
 /// Little-endian cursor over a byte slice; every read checks the
@@ -212,61 +281,57 @@ pub fn decode(buf: &[u8]) -> Result<(Matrix, Option<Vec<Label>>), DataError> {
     Ok((Matrix::from_vec(data, rows, cols), labels))
 }
 
-/// The temp-file sibling that [`write_atomic`] stages into: `<path>.tmp`.
+/// The temp-file sibling every dataset writer stages into:
+/// `<path>.tmp`.
 ///
 /// Exposed so recovery scans (and tests) can recognize the leftovers of
 /// a write that died before its rename.
 #[must_use]
-pub fn tmp_path(path: &Path) -> std::path::PathBuf {
+pub fn tmp_path(path: &Path) -> PathBuf {
     let mut os = path.as_os_str().to_os_string();
     os.push(".tmp");
-    std::path::PathBuf::from(os)
+    PathBuf::from(os)
 }
 
-/// Crash-safe whole-file write: stage the bytes in `<path>.tmp`, fsync,
-/// then rename over `path` (atomic on POSIX), then best-effort fsync
-/// the parent directory so the rename itself is durable.
+/// The temp-file + rename shell every dataset writer shares: `open`
+/// starts a format's [`RowWriter`] on a buffered `<path>.tmp` (it gets
+/// the temp path for error context) and `fill` pushes the rows; the
+/// writer's sink is then flushed, fsynced and renamed over `path`
+/// (atomic on POSIX), and the parent directory fsynced best-effort.
 ///
 /// A crash at any instant leaves either the old file intact (possibly
 /// next to a detectable partial `.tmp`) or the new file complete —
-/// never a torn `path`. A write that fails without a crash removes its
-/// `.tmp` again.
-///
-/// # Errors
-///
-/// [`DataError::Io`] naming the staged or final path on any failure.
-pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), DataError> {
-    write_staged(path, |w, tmp| {
-        w.write_all(bytes).map_err(|e| DataError::io(tmp, e))
-    })
-}
-
-/// The temp-file + rename shell every dataset writer shares: `fill`
-/// streams the new contents into a buffered `<path>.tmp` (it gets the
-/// temp path for error context); the file is then flushed, fsynced and
-/// renamed over `path`, and the parent directory fsynced best-effort.
-///
-/// Once the temp file exists, any failure — in `fill`, the flush, the
-/// fsync or the rename — removes it before the error is returned.
+/// never a torn `path`. Once the temp file exists, any failure — in
+/// `open`, `fill`, `finish`, the flush, the fsync or the rename —
+/// removes it before the error is returned.
 ///
 /// # Errors
 ///
 /// [`DataError::Io`] naming the staged or final path on an I/O failure,
-/// or whatever `fill` returns.
-pub(crate) fn write_staged<T>(
+/// or whatever the writer returns.
+pub(crate) fn write_staged<R, T>(
     path: &Path,
-    fill: impl FnOnce(&mut BufWriter<fs::File>, &Path) -> Result<T, DataError>,
-) -> Result<T, DataError> {
+    open: impl FnOnce(BufWriter<fs::File>, &Path) -> Result<R, DataError>,
+    fill: impl FnOnce(&mut R) -> Result<T, DataError>,
+) -> Result<T, DataError>
+where
+    R: RowWriter<Sink = BufWriter<fs::File>>,
+{
     let tmp = tmp_path(path);
-    let mut w = BufWriter::new(fs::File::create(&tmp).map_err(|e| DataError::io(&tmp, e))?);
-    let published = fill(&mut w, &tmp).and_then(|out| {
-        let f = w
+    let file = fs::File::create(&tmp).map_err(|e| DataError::io(&tmp, e))?;
+    // Writers push a few bytes at a time; 64 KiB keeps the write
+    // syscalls per megabyte in the tens.
+    let file = BufWriter::with_capacity(1 << 16, file);
+    let published = open(file, &tmp).and_then(|mut out| {
+        let filled = fill(&mut out)?;
+        let f = out
+            .finish()?
             .into_inner()
             .map_err(|e| DataError::io(&tmp, e.into_error()))?;
         f.sync_all().map_err(|e| DataError::io(&tmp, e))?;
         drop(f);
         fs::rename(&tmp, path).map_err(|e| DataError::io(path, e))?;
-        Ok(out)
+        Ok(filled)
     });
     if published.is_err() {
         let _ = fs::remove_file(&tmp);
@@ -282,7 +347,8 @@ pub(crate) fn write_staged<T>(
     published
 }
 
-/// Write the binary format to a file (crash-safe: temp file + rename).
+/// Write the binary format to a file, streaming row by row through
+/// `PrclWriter` (crash-safe: temp file + rename).
 ///
 /// # Errors
 ///
@@ -293,7 +359,11 @@ pub fn write_binary(
     points: &Matrix,
     labels: Option<&[Label]>,
 ) -> Result<(), DataError> {
-    write_atomic(path, &encode(points, labels)?)
+    write_staged(
+        path,
+        |w, tmp| PrclWriter::new(w, tmp, points.rows(), points.cols(), labels.is_some()),
+        |out| push_rows(out, points, labels),
+    )
 }
 
 /// Read a file produced by [`write_binary`].
@@ -496,7 +566,7 @@ mod tests {
         }
 
         // A completed atomic write replaces the file and leaves no temp.
-        write_atomic(&path, &new_bytes).unwrap();
+        write_binary(&path, &replacement, None).unwrap();
         assert!(!tmp_path(&path).exists());
         let (m3, l3) = read_binary(&path).unwrap();
         assert_eq!(m3, replacement);
@@ -515,6 +585,40 @@ mod tests {
         assert!(matches!(err, DataError::Io { .. }), "{err:?}");
         assert!(!tmp_path(&dir).exists());
         assert!(dir.is_dir());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn writer_short_of_its_header_rows_is_typed_and_leaves_no_tmp() {
+        let dir = std::env::temp_dir().join(format!("proclus-bin-short-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("short.prcl");
+        let err = write_staged(
+            &path,
+            |w, tmp| PrclWriter::new(w, tmp, 3, 2, true),
+            |out| out.push(&[1.0, 2.0], Some(Label::Outlier)),
+        )
+        .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                DataError::LengthMismatch {
+                    expected: 3,
+                    got: 1,
+                    ..
+                }
+            ),
+            "{err:?}"
+        );
+        assert!(!tmp_path(&path).exists());
+        assert!(!path.exists());
+        // Pushing past the header's count is caught the same way, and
+        // a labeled writer refuses a row without a label.
+        let mut over = PrclWriter::new(Vec::new(), &path, 0, 1, false).unwrap();
+        over.push(&[1.0], None).unwrap();
+        assert!(over.finish().is_err());
+        let mut labeled = PrclWriter::new(Vec::new(), &path, 1, 1, true).unwrap();
+        assert!(labeled.push(&[1.0], None).is_err());
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -26,7 +26,11 @@
 //! located error and ends.
 
 use crate::error::DataError;
-use proclus_math::{fnv1a64, Matrix};
+use crate::format::{push_rows, RowWriter};
+use crate::label::Label;
+use proclus_math::{fnv1a64, fnv1a64_continue, Matrix};
+use std::io::Write;
+use std::path::{Path, PathBuf};
 
 /// Frame magic for one streamed chunk.
 pub const CHUNK_MAGIC: &[u8; 4] = b"PRCK";
@@ -38,39 +42,19 @@ pub const CHUNK_HEADER_LEN: usize = 4 + 1 + 4 + 4;
 /// payload-sized allocation (4M cells = 32 MiB of f64).
 pub const MAX_CHUNK_CELLS: usize = 1 << 22;
 
-/// Serialize one batch of points as a framed chunk.
+/// Rows per frame of a `.chunks` file written by
+/// [`write_dataset`](crate::write_dataset).
+pub const BATCH_ROWS: usize = 256;
+
+/// Serialize one batch of points as a single framed chunk (an empty
+/// batch encodes to no bytes).
 ///
 /// # Errors
 ///
 /// [`DataError::LengthMismatch`] when the batch exceeds
-/// [`MAX_CHUNK_CELLS`] cells or its dimensions overflow `u32`.
+/// [`MAX_CHUNK_CELLS`] cells.
 pub fn encode_chunk(batch: &Matrix) -> Result<Vec<u8>, DataError> {
-    let cells = batch.rows().saturating_mul(batch.cols());
-    if cells > MAX_CHUNK_CELLS {
-        return Err(DataError::LengthMismatch {
-            what: "chunk cells",
-            expected: MAX_CHUNK_CELLS,
-            got: cells,
-        });
-    }
-    let (Ok(rows), Ok(cols)) = (u32::try_from(batch.rows()), u32::try_from(batch.cols())) else {
-        return Err(DataError::LengthMismatch {
-            what: "chunk dimensions (u32)",
-            expected: u32::MAX as usize,
-            got: batch.rows().max(batch.cols()),
-        });
-    };
-    let mut buf = Vec::with_capacity(CHUNK_HEADER_LEN + cells * 8 + 8);
-    buf.extend_from_slice(CHUNK_MAGIC);
-    buf.push(CHUNK_VERSION);
-    buf.extend_from_slice(&rows.to_le_bytes());
-    buf.extend_from_slice(&cols.to_le_bytes());
-    for v in batch.as_slice() {
-        buf.extend_from_slice(&v.to_le_bytes());
-    }
-    let check = fnv1a64(&buf);
-    buf.extend_from_slice(&check.to_le_bytes());
-    Ok(buf)
+    encode_chunk_stream(batch, batch.rows().max(1))
 }
 
 /// Serialize `points` into a sequence of chunks of at most
@@ -78,25 +62,132 @@ pub fn encode_chunk(batch: &Matrix) -> Result<Vec<u8>, DataError> {
 ///
 /// # Errors
 ///
-/// As [`encode_chunk`]; `batch_rows` of 0 is a
-/// [`DataError::LengthMismatch`].
+/// [`DataError::LengthMismatch`] when `batch_rows` is 0 or a frame
+/// would exceed [`MAX_CHUNK_CELLS`] cells.
 pub fn encode_chunk_stream(points: &Matrix, batch_rows: usize) -> Result<Vec<u8>, DataError> {
-    if batch_rows == 0 {
-        return Err(DataError::LengthMismatch {
-            what: "chunk batch_rows",
-            expected: 1,
-            got: 0,
-        });
+    // A frame never holds more rows than the matrix has (0 stays 0).
+    let batch_rows = batch_rows.min(points.rows().max(1));
+    let mut out = ChunkWriter::new(Vec::new(), Path::new(""), points.cols(), batch_rows)?;
+    push_rows(&mut out, points, None)?;
+    out.finish()
+}
+
+/// Row-by-row `PRCK` encoder: buffers the payload of at most
+/// `batch_rows` rows and writes each full batch, and the last one on
+/// `finish`, as one checksummed frame. Labels are not part of the
+/// format and are dropped.
+pub(crate) struct ChunkWriter<W> {
+    w: W,
+    origin: PathBuf,
+    cols: usize,
+    batch_rows: usize,
+    rows: usize,
+    payload: Vec<u8>,
+}
+
+impl<W: Write> ChunkWriter<W> {
+    /// Frame `cols`-wide rows into `batch_rows`-row batches on `w`;
+    /// `origin` names `w` in errors. Fails with
+    /// [`DataError::LengthMismatch`] when `batch_rows` is 0 or a batch
+    /// would exceed [`MAX_CHUNK_CELLS`] cells.
+    pub(crate) fn new(
+        w: W,
+        origin: &Path,
+        cols: usize,
+        batch_rows: usize,
+    ) -> Result<Self, DataError> {
+        // Bounding the row count too keeps both header fields in u32.
+        let cells = batch_rows.saturating_mul(cols).max(batch_rows);
+        if batch_rows == 0 || cells > MAX_CHUNK_CELLS {
+            return Err(DataError::LengthMismatch {
+                what: "chunk batch cells (at least one row)",
+                expected: MAX_CHUNK_CELLS,
+                got: cells,
+            });
+        }
+        let (origin, payload) = (origin.into(), Vec::with_capacity(batch_rows * cols * 8));
+        Ok(Self {
+            w,
+            origin,
+            cols,
+            batch_rows,
+            rows: 0,
+            payload,
+        })
     }
-    let mut out = Vec::new();
-    let mut start = 0;
-    while start < points.rows() {
-        let end = (start + batch_rows).min(points.rows());
-        let idx: Vec<usize> = (start..end).collect();
-        out.extend_from_slice(&encode_chunk(&points.select_rows(&idx))?);
-        start = end;
+
+    /// Write the buffered rows as one frame: header, payload, and the
+    /// FNV-1a checksum of both.
+    fn write_frame(&mut self) -> Result<(), DataError> {
+        let dims = [self.rows as u32, self.cols as u32].map(u32::to_le_bytes);
+        let header = [CHUNK_MAGIC.as_slice(), &[CHUNK_VERSION], &dims.concat()].concat();
+        let check = fnv1a64_continue(fnv1a64(&header), &self.payload).to_le_bytes();
+        let w = &mut self.w;
+        [&header[..], &self.payload, &check]
+            .iter()
+            .try_for_each(|part| w.write_all(part))
+            .map_err(|e| DataError::io(&self.origin, e))?;
+        self.payload.clear();
+        self.rows = 0;
+        Ok(())
     }
-    Ok(out)
+}
+
+impl<W: Write> RowWriter for ChunkWriter<W> {
+    type Sink = W;
+
+    fn push(&mut self, row: &[f64], _label: Option<Label>) -> Result<(), DataError> {
+        self.payload
+            .extend(row.iter().flat_map(|v| v.to_le_bytes()));
+        self.rows += 1;
+        if self.rows == self.batch_rows {
+            self.write_frame()?;
+        }
+        Ok(())
+    }
+
+    fn finish(mut self) -> Result<W, DataError> {
+        if self.rows > 0 {
+            self.write_frame()?;
+        }
+        Ok(self.w)
+    }
+}
+
+/// Decode a whole chunk stream into one matrix, strictly: where
+/// [`ChunkReader`] quarantines a damaged frame and reads on, any
+/// damaged frame, a change of width between frames, or a stream with
+/// no frame at all is an error here.
+///
+/// # Errors
+///
+/// [`DataError::Binary`] locating the first bad frame.
+pub fn decode_chunks(bytes: &[u8]) -> Result<Matrix, DataError> {
+    let mut reader = ChunkReader::new(bytes);
+    let (mut data, mut rows, mut cols) = (Vec::new(), 0, None);
+    loop {
+        let at = reader.offset();
+        let Some(chunk) = reader.next() else { break };
+        let chunk = chunk?;
+        let width = *cols.get_or_insert(chunk.cols());
+        if width != chunk.cols() {
+            return Err(DataError::Binary {
+                path: None,
+                offset: at,
+                field: "chunk cols",
+                reason: format!("chunk width changed from {width} to {}", chunk.cols()),
+            });
+        }
+        rows += chunk.rows();
+        data.extend_from_slice(chunk.as_slice());
+    }
+    let cols = cols.ok_or_else(|| DataError::Binary {
+        path: None,
+        offset: 0,
+        field: "chunk stream",
+        reason: "chunk stream held no chunks".into(),
+    })?;
+    Ok(Matrix::from_vec(data, rows, cols))
 }
 
 /// Iterator over the chunks of a byte stream.
@@ -128,132 +219,119 @@ impl<'a> ChunkReader<'a> {
     pub fn offset(&self) -> usize {
         self.offset
     }
-
-    fn err(&mut self, field: &'static str, reason: String, fatal: bool) -> DataError {
-        self.dead = fatal;
-        DataError::Binary {
-            path: None,
-            offset: self.offset,
-            field,
-            reason,
-        }
-    }
 }
 
 impl Iterator for ChunkReader<'_> {
     type Item = Result<Matrix, DataError>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        if self.dead {
+        let (at, rest) = (self.offset, &self.buf[self.offset..]);
+        if self.dead || rest.is_empty() {
             return None;
         }
-        let rest = &self.buf[self.offset..];
-        if rest.is_empty() {
-            return None;
-        }
-        if rest.len() < CHUNK_HEADER_LEN {
-            return Some(Err(self.err(
-                "chunk header",
-                format!(
-                    "truncated: need {CHUNK_HEADER_LEN} header bytes, {} left",
-                    rest.len()
-                ),
-                true,
-            )));
-        }
-        if rest[..4] != *CHUNK_MAGIC {
-            return Some(Err(self.err(
-                "chunk magic",
-                "bad magic (not a PRCK chunk)".into(),
-                true,
-            )));
-        }
-        if rest[4] != CHUNK_VERSION {
-            return Some(Err(self.err(
-                "chunk version",
-                format!("unsupported version {}", rest[4]),
-                true,
-            )));
-        }
-        let rows = u32::from_le_bytes([rest[5], rest[6], rest[7], rest[8]]) as usize;
-        let cols = u32::from_le_bytes([rest[9], rest[10], rest[11], rest[12]]) as usize;
-        let cells = match rows.checked_mul(cols) {
-            Some(c) if c <= MAX_CHUNK_CELLS => c,
-            _ => {
-                return Some(Err(self.err(
-                    "chunk header",
-                    format!("implausible chunk size {rows}x{cols}"),
-                    true,
-                )))
-            }
-        };
-        let frame = CHUNK_HEADER_LEN + cells * 8 + 8;
-        if rest.len() < frame {
-            return Some(Err(self.err(
-                "chunk payload",
-                format!("truncated: frame needs {frame} bytes, {} left", rest.len()),
-                true,
-            )));
-        }
-        let body = &rest[..frame - 8];
-        let stored = u64::from_le_bytes(
-            rest[frame - 8..frame].try_into().unwrap_or([0; 8]), // length checked above; never hit
-        );
-        if fnv1a64(body) != stored {
-            // Recoverable — but the frame length above came from the
-            // very header the failed checksum no longer vouches for, so
-            // it cannot be used to skip. Scan for the next frame that
-            // validates end-to-end instead.
-            let at = self.offset;
-            self.offset = resync_from(self.buf, at + 1);
-            return Some(Err(DataError::Binary {
+        let error = |field, reason| {
+            Some(Err(DataError::Binary {
                 path: None,
                 offset: at,
-                field: "chunk checksum",
-                reason: format!(
+                field,
+                reason,
+            }))
+        };
+        let frame = match parse_frame(rest) {
+            Ok(frame) => frame,
+            Err((field, reason)) => {
+                self.dead = true;
+                return error(field, reason);
+            }
+        };
+        let (rows, cols) = (frame.rows, frame.cols);
+        if !frame.intact {
+            // Recoverable — but the frame length came from the very
+            // header the failed checksum no longer vouches for, so it
+            // cannot be used to skip. Scan for the next frame that
+            // validates end-to-end instead.
+            self.offset = resync_from(self.buf, at + 1);
+            let stored = frame.stored;
+            return error(
+                "chunk checksum",
+                format!(
                     "checksum mismatch (stored {stored:#018x}); chunk of {rows}x{cols} skipped"
                 ),
-            }));
+            );
         }
-        let mut data = Vec::with_capacity(cells);
-        for c in body[CHUNK_HEADER_LEN..].chunks_exact(8) {
-            data.push(f64::from_le_bytes(c.try_into().unwrap_or([0; 8])));
-        }
-        self.offset += frame;
+        let payload = &rest[CHUNK_HEADER_LEN..frame.len - 8];
+        let data = payload
+            .chunks_exact(8)
+            .map(|c| f64::from_le_bytes(c.try_into().unwrap_or([0; 8])))
+            .collect();
+        self.offset += frame.len;
         Some(Ok(Matrix::from_vec(data, rows, cols)))
     }
 }
 
-/// Whether a complete, checksum-verified frame starts at the front of
-/// `rest`. Used only for resynchronization after a checksum failure,
-/// where nothing about the damaged frame (including its announced
-/// length) can be trusted.
-fn frame_validates(rest: &[u8]) -> bool {
-    if rest.len() < CHUNK_HEADER_LEN + 8 || rest[..4] != *CHUNK_MAGIC || rest[4] != CHUNK_VERSION {
-        return false;
+/// A frame whose header parsed and whose bytes are all present.
+struct Frame {
+    rows: usize,
+    cols: usize,
+    /// Whole frame length, checksum included.
+    len: usize,
+    stored: u64,
+    /// Whether the stored checksum matches the header and payload.
+    intact: bool,
+}
+
+/// Parse the frame at the front of `rest` — the only reader of the
+/// frame layout. Errors name the field that failed: magic, version,
+/// an implausible size (checked before any payload-sized work) or
+/// truncation.
+fn parse_frame(rest: &[u8]) -> Result<Frame, (&'static str, String)> {
+    if rest.len() < CHUNK_HEADER_LEN {
+        let left = rest.len();
+        let reason = format!("truncated: need {CHUNK_HEADER_LEN} header bytes, {left} left");
+        return Err(("chunk header", reason));
+    }
+    if rest[..4] != *CHUNK_MAGIC {
+        return Err(("chunk magic", "bad magic (not a PRCK chunk)".into()));
+    }
+    if rest[4] != CHUNK_VERSION {
+        return Err(("chunk version", format!("unsupported version {}", rest[4])));
     }
     let rows = u32::from_le_bytes([rest[5], rest[6], rest[7], rest[8]]) as usize;
     let cols = u32::from_le_bytes([rest[9], rest[10], rest[11], rest[12]]) as usize;
-    let cells = match rows.checked_mul(cols) {
-        Some(c) if c <= MAX_CHUNK_CELLS => c,
-        _ => return false,
+    let Some(cells) = rows.checked_mul(cols).filter(|&c| c <= MAX_CHUNK_CELLS) else {
+        return Err((
+            "chunk header",
+            format!("implausible chunk size {rows}x{cols}"),
+        ));
     };
-    let frame = CHUNK_HEADER_LEN + cells * 8 + 8;
-    if rest.len() < frame {
-        return false;
+    let len = CHUNK_HEADER_LEN + cells * 8 + 8;
+    if rest.len() < len {
+        let left = rest.len();
+        return Err((
+            "chunk payload",
+            format!("truncated: frame needs {len} bytes, {left} left"),
+        ));
     }
-    let stored = u64::from_le_bytes(rest[frame - 8..frame].try_into().unwrap_or([0; 8]));
-    fnv1a64(&rest[..frame - 8]) == stored
+    // Length checked above; the fallback is never hit.
+    let stored = u64::from_le_bytes(rest[len - 8..len].try_into().unwrap_or([0; 8]));
+    let intact = fnv1a64(&rest[..len - 8]) == stored;
+    Ok(Frame {
+        rows,
+        cols,
+        len,
+        stored,
+        intact,
+    })
 }
 
 /// Byte-by-byte scan from `from` for the next fully valid frame; magic
 /// bytes alone are only a candidate (payloads can contain `b"PRCK"`),
-/// acceptance requires [`frame_validates`]. No valid frame → the end
-/// of the buffer.
+/// acceptance requires the whole frame to parse and its checksum to
+/// verify. No valid frame → the end of the buffer.
 fn resync_from(buf: &[u8], from: usize) -> usize {
     let mut at = from;
     while at + CHUNK_HEADER_LEN + 8 <= buf.len() {
-        if buf[at..at + 4] == *CHUNK_MAGIC && frame_validates(&buf[at..]) {
+        if buf[at..at + 4] == *CHUNK_MAGIC && parse_frame(&buf[at..]).is_ok_and(|f| f.intact) {
             return at;
         }
         at += 1;
@@ -359,6 +437,33 @@ mod tests {
         assert!(encode_chunk_stream(&m, MAX_CHUNK_CELLS + 1).is_err());
         // But slicing the same matrix into bounded batches works.
         assert!(encode_chunk_stream(&m, 1024).is_ok());
+    }
+
+    #[test]
+    fn strict_decode_joins_frames_and_rejects_what_the_reader_skips() {
+        let bytes = stream();
+        let joined: Vec<f64> = batches()
+            .iter()
+            .flat_map(|b| b.as_slice().to_vec())
+            .collect();
+        let m = decode_chunks(&bytes).unwrap();
+        assert_eq!((m.rows(), m.cols()), (6, 2));
+        assert_eq!(m.as_slice(), joined.as_slice());
+        let mut flipped = bytes.clone();
+        flipped[CHUNK_HEADER_LEN + 3] ^= 0x10;
+        assert!(decode_chunks(&flipped)
+            .unwrap_err()
+            .to_string()
+            .contains("checksum"));
+        let mut widened = bytes;
+        widened.extend_from_slice(&encode_chunk(&Matrix::from_rows(&[[1.0]], 1)).unwrap());
+        let err = decode_chunks(&widened).unwrap_err();
+        assert!(
+            err.to_string().contains("width changed from 2 to 1"),
+            "{err}"
+        );
+        assert!(decode_chunks(&[]).is_err());
+        assert!(encode_chunk(&Matrix::zeros(0, 3)).unwrap().is_empty());
     }
 
     #[test]

@@ -7,20 +7,19 @@
 
 use crate::binio::write_staged;
 use crate::error::DataError;
+use crate::format::{push_rows, required, RowWriter};
 use crate::label::Label;
 use proclus_math::Matrix;
 use std::fs::File;
 use std::io::{self, BufRead, BufReader, Write};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// Write `points` (and optionally aligned `labels`) as CSV.
 ///
 /// Crash-safe and constant-memory: rows are streamed one at a time
-/// through a [`BufWriter`] into `<path>.tmp`, fsynced, and renamed over
-/// `path` (the same temp-file + rename contract as
-/// [`write_atomic`](crate::binio::write_atomic)), so a crash can never
-/// leave a half-written dataset under the final name and the full text
-/// is never materialized in RAM.
+/// into a buffered `<path>.tmp`, fsynced, and renamed over `path`, so
+/// a crash can never leave a half-written dataset under the final name
+/// and the full text is never materialized in RAM.
 ///
 /// # Errors
 ///
@@ -28,71 +27,66 @@ use std::path::Path;
 /// same length as the point count; [`DataError::Io`] on any I/O
 /// failure.
 pub fn write_csv(path: &Path, points: &Matrix, labels: Option<&[Label]>) -> Result<(), DataError> {
-    if let Some(ls) = labels {
-        if ls.len() != points.rows() {
-            return Err(DataError::LengthMismatch {
-                what: "labels for write_csv",
-                expected: points.rows(),
-                got: ls.len(),
-            });
-        }
-    }
-    let rows = points.rows();
-    write_csv_rows(
+    write_staged(
         path,
-        points.cols(),
-        labels.is_some(),
-        (0..rows).map(|i| (points.row(i), labels.map(|ls| ls[i]))),
+        |w, tmp| CsvWriter::new(w, tmp, points.cols(), labels.is_some()),
+        |out| push_rows(out, points, labels),
     )
 }
 
-/// Stream CSV rows from any iterator into `path` under the crash-safe
-/// temp-file + rename contract. Shared by [`write_csv`] and the
-/// scenario engine's epoch streamer; never holds more than one row
-/// (plus the `BufWriter` block) in memory.
-///
-/// When `with_labels` is set, every row must carry `Some(label)`.
-///
-/// # Errors
-///
-/// [`DataError::Io`] naming the staged or final path on any failure.
-pub(crate) fn write_csv_rows<'a>(
-    path: &Path,
-    cols: usize,
-    with_labels: bool,
-    rows: impl Iterator<Item = (&'a [f64], Option<Label>)>,
-) -> Result<(), DataError> {
-    write_staged(path, |w, tmp| {
-        let tmperr = |e| DataError::io(tmp, e);
-        for j in 0..cols {
-            if j > 0 {
-                write!(w, ",").map_err(tmperr)?;
-            }
-            write!(w, "x{j}").map_err(tmperr)?;
-        }
-        if with_labels {
-            write!(w, ",label").map_err(tmperr)?;
-        }
-        writeln!(w).map_err(tmperr)?;
-        for (row, label) in rows {
+/// Row-by-row CSV encoder: the header line `x0,x1,…[,label]`, then one
+/// line per row, each value in its shortest round-trip form.
+pub(crate) struct CsvWriter<W> {
+    w: W,
+    origin: PathBuf,
+    labeled: bool,
+}
+
+impl<W: Write> CsvWriter<W> {
+    /// Write the header of a `cols`-wide dataset, labeled or not, to
+    /// `w`; `origin` names `w` in errors.
+    pub(crate) fn new(
+        mut w: W,
+        origin: &Path,
+        cols: usize,
+        labeled: bool,
+    ) -> Result<Self, DataError> {
+        let mut header: Vec<String> = (0..cols).map(|j| format!("x{j}")).collect();
+        header.extend(labeled.then(|| "label".to_string()));
+        writeln!(w, "{}", header.join(",")).map_err(|e| DataError::io(origin, e))?;
+        let origin = origin.into();
+        Ok(Self { w, origin, labeled })
+    }
+}
+
+impl<W: Write> RowWriter for CsvWriter<W> {
+    type Sink = W;
+
+    fn push(&mut self, row: &[f64], label: Option<Label>) -> Result<(), DataError> {
+        let label = if self.labeled {
+            Some(required(label)?)
+        } else {
+            None
+        };
+        let w = &mut self.w;
+        let line = (|| {
             for (j, v) in row.iter().enumerate() {
                 if j > 0 {
-                    write!(w, ",").map_err(tmperr)?;
+                    w.write_all(b",")?;
                 }
-                write!(w, "{v}").map_err(tmperr)?;
+                write!(w, "{v}")?;
             }
-            if with_labels {
-                let l = label.ok_or(DataError::LengthMismatch {
-                    what: "labels for write_csv_rows",
-                    expected: 1,
-                    got: 0,
-                })?;
-                write!(w, ",{}", label_token(l)).map_err(tmperr)?;
+            match label {
+                Some(l) => writeln!(w, ",{}", label_token(l)),
+                None => writeln!(w),
             }
-            writeln!(w).map_err(tmperr)?;
-        }
-        Ok(())
-    })
+        })();
+        line.map_err(|e| DataError::io(&self.origin, e))
+    }
+
+    fn finish(self) -> Result<W, DataError> {
+        Ok(self.w)
+    }
 }
 
 /// Read a CSV produced by [`write_csv`] (header required).
@@ -269,7 +263,7 @@ fn next_line<'b>(
     })
 }
 
-pub(crate) fn label_token(l: Label) -> String {
+fn label_token(l: Label) -> String {
     match l {
         Label::Cluster(i) => format!("C{i}"),
         Label::Outlier => "O".to_string(),
@@ -452,8 +446,12 @@ mod tests {
         assert!(!crate::binio::tmp_path(&dir).exists());
         // A row missing its label fails mid-stream, before the rename.
         let path = tmp("missing-label.csv");
-        let rows = [(m.row(0), None)];
-        let err = write_csv_rows(&path, 2, true, rows.into_iter()).unwrap_err();
+        let err = write_staged(
+            &path,
+            |w, tmp| CsvWriter::new(w, tmp, 2, true),
+            |out| out.push(m.row(0), None),
+        )
+        .unwrap_err();
         assert!(matches!(err, DataError::LengthMismatch { .. }), "{err:?}");
         assert!(!crate::binio::tmp_path(&path).exists());
         assert!(!path.exists());

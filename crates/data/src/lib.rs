@@ -42,6 +42,7 @@ pub mod binio;
 pub mod chunks;
 pub mod error;
 pub mod fault;
+pub mod format;
 pub mod generator;
 pub mod io;
 pub mod label;
@@ -50,6 +51,7 @@ pub mod spec;
 
 pub use chunks::{encode_chunk, encode_chunk_stream, ChunkReader};
 pub use error::DataError;
+pub use format::{decode_dataset, read_dataset, write_dataset, Format};
 pub use generator::{GeneratedCluster, GeneratedDataset};
 pub use label::Label;
 pub use scenario::{

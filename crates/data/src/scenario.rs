@@ -27,19 +27,22 @@
 //! ([`ScenarioSpec::parse`] / [`ScenarioSpec::to_canonical`]) is a
 //! hand-rolled line grammar with a byte-exact round trip.
 
-use crate::binio::write_staged;
-use crate::chunks::encode_chunk;
+use crate::binio::{self, write_staged, PrclWriter};
+use crate::chunks::ChunkWriter;
 use crate::error::DataError;
+use crate::format::RowWriter;
 use crate::generator::{apportion, apportion_with_floor, choose_dimension_sets, GeneratedCluster};
+use crate::io::CsvWriter;
 use crate::label::Label;
 use crate::spec::{DimensionSpec, SyntheticSpec};
 use proclus_math::distributions::{exponential, laplace, normal, poisson};
+use proclus_math::hash::FNV1A_BASIS;
 use proclus_math::Matrix;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use std::fs::File;
-use std::io::{BufWriter, Write};
+use std::io::BufWriter;
 use std::path::Path;
 
 /// Coordinate distribution used on the cluster dimensions.
@@ -279,6 +282,18 @@ impl ScenarioSpec {
     where
         F: FnMut(usize, &[f64], Label),
     {
+        self.try_for_each_row(|epoch, row, label| {
+            visit(epoch, row, label);
+            Ok(())
+        })
+    }
+
+    /// [`for_each_row`](ScenarioSpec::for_each_row) with a fallible
+    /// visitor: generation stops at the first error it returns.
+    fn try_for_each_row<F>(&self, mut visit: F) -> Result<ScenarioTruth, DataError>
+    where
+        F: FnMut(usize, &[f64], Label) -> Result<(), DataError>,
+    {
         self.validate().map_err(DataError::InvalidSpec)?;
         let d = self.base.d;
         let cols = self.cols();
@@ -320,7 +335,7 @@ impl ScenarioSpec {
                         }
                     }
                 }
-                visit(epoch, &row, label);
+                visit(epoch, &row, label)?;
             }
             truth.epochs.push(EpochTruth {
                 clusters: geometry
@@ -364,200 +379,61 @@ impl ScenarioSpec {
     ///
     /// [`DataError::InvalidSpec`] on an invalid scenario.
     pub fn digest(&self) -> Result<u64, DataError> {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        };
-        self.for_each_row(|_, row, label| {
-            for v in row {
-                mix(&v.to_le_bytes());
-            }
-            let id: i64 = match label {
-                Label::Cluster(i) => i as i64,
-                Label::Outlier => -1,
-            };
-            mix(&id.to_le_bytes());
-        })?;
+        let mut h = FNV1A_BASIS;
+        self.for_each_row(|_, row, label| h = binio::fold_record(h, row, label))?;
         Ok(h)
     }
 
-    /// Stream the scenario into a labeled CSV file (same grammar as
-    /// [`crate::io::write_csv`]) under the crash-safe temp-file +
-    /// rename contract.
+    /// Stream the scenario into a labeled CSV file under the
+    /// crash-safe temp-file + rename contract.
     ///
     /// # Errors
     ///
     /// [`DataError::InvalidSpec`] on an invalid scenario,
     /// [`DataError::Io`] on any I/O failure.
     pub fn write_csv(&self, path: &Path) -> Result<ScenarioTruth, DataError> {
-        self.write_streamed(path, |spec, w| {
-            let mut io_err: Option<std::io::Error> = None;
-            let mut res: Result<(), std::io::Error> = (|| {
-                for j in 0..spec.cols() {
-                    if j > 0 {
-                        write!(w, ",")?;
-                    }
-                    write!(w, "x{j}")?;
-                }
-                writeln!(w, ",label")
-            })();
-            let truth = if res.is_ok() {
-                spec.for_each_row(|_, row, label| {
-                    if io_err.is_some() {
-                        return;
-                    }
-                    let wrote = (|| -> Result<(), std::io::Error> {
-                        for (j, v) in row.iter().enumerate() {
-                            if j > 0 {
-                                write!(w, ",")?;
-                            }
-                            write!(w, "{v}")?;
-                        }
-                        writeln!(w, ",{}", crate::io::label_token(label))
-                    })();
-                    if let Err(e) = wrote {
-                        io_err = Some(e);
-                    }
-                })
-            } else {
-                // Header failed; surface the I/O error below.
-                spec.for_each_row(|_, _, _| {})
-            };
-            if let Some(e) = io_err.take() {
-                res = Err(e);
-            }
-            (truth, res)
-        })
+        self.write_rows(path, |w, tmp| CsvWriter::new(w, tmp, self.cols(), true))
     }
 
-    /// Stream the scenario into a labeled `PRCL` binary file. The
-    /// header and coordinates stream directly to disk; only the label
-    /// column (8 bytes/row) is buffered, because `PRCL` stores labels
-    /// after the full matrix.
+    /// Stream the scenario into a labeled `PRCL` binary file; only the
+    /// label column (8 bytes/row) is buffered, because `PRCL` stores
+    /// labels after the full matrix.
     ///
     /// # Errors
     ///
-    /// [`DataError::InvalidSpec`] on an invalid scenario,
-    /// [`DataError::Io`] on any I/O failure.
+    /// As [`write_csv`](ScenarioSpec::write_csv).
     pub fn write_prcl(&self, path: &Path) -> Result<ScenarioTruth, DataError> {
-        self.write_streamed(path, |spec, w| {
-            let mut res: Result<(), std::io::Error> = (|| {
-                w.write_all(crate::binio::MAGIC)?;
-                w.write_all(&[1u8, 1u8])?; // version, flags: labels
-                w.write_all(&(spec.rows() as u64).to_le_bytes())?;
-                w.write_all(&(spec.cols() as u64).to_le_bytes())
-            })();
-            let mut io_err: Option<std::io::Error> = None;
-            let mut label_ids: Vec<i64> = Vec::with_capacity(spec.rows());
-            let truth = spec.for_each_row(|_, row, label| {
-                label_ids.push(match label {
-                    Label::Cluster(i) => i as i64,
-                    Label::Outlier => -1,
-                });
-                if res.is_err() || io_err.is_some() {
-                    return;
-                }
-                for v in row {
-                    if let Err(e) = w.write_all(&v.to_le_bytes()) {
-                        io_err = Some(e);
-                        return;
-                    }
-                }
-            });
-            if res.is_ok() {
-                if let Some(e) = io_err.take() {
-                    res = Err(e);
-                }
-            }
-            if res.is_ok() {
-                res = (|| {
-                    for id in &label_ids {
-                        w.write_all(&id.to_le_bytes())?;
-                    }
-                    Ok(())
-                })();
-            }
-            (truth, res)
-        })
+        let (rows, cols) = (self.rows(), self.cols());
+        self.write_rows(path, |w, tmp| PrclWriter::new(w, tmp, rows, cols, true))
     }
 
     /// Stream the scenario into a `PRCK` chunk file (`batch_rows` rows
-    /// per checksummed frame) — the input format of `proclus stream`.
-    /// Only one batch is buffered at a time. Labels are not part of
-    /// the chunk format.
+    /// per checksummed frame, one batch buffered at a time) — the input
+    /// format of `proclus stream`. Labels are not part of the format.
     ///
     /// # Errors
     ///
-    /// [`DataError::InvalidSpec`] on an invalid scenario or a zero /
-    /// oversized `batch_rows`, [`DataError::Io`] on any I/O failure.
+    /// As [`write_csv`](ScenarioSpec::write_csv), plus
+    /// [`DataError::LengthMismatch`] on a zero or oversized `batch_rows`.
     pub fn write_chunks(&self, path: &Path, batch_rows: usize) -> Result<ScenarioTruth, DataError> {
-        let cols = self.cols();
-        if batch_rows == 0 {
-            return Err(DataError::InvalidSpec(
-                "chunk batch_rows must be positive".into(),
-            ));
-        }
-        if batch_rows.saturating_mul(cols) > crate::chunks::MAX_CHUNK_CELLS {
-            return Err(DataError::InvalidSpec(format!(
-                "chunk batch of {batch_rows} rows x {cols} cols exceeds the frame cell bound"
-            )));
-        }
-        self.write_streamed(path, |spec, w| {
-            let mut io_err: Option<std::io::Error> = None;
-            let mut buf: Vec<f64> = Vec::with_capacity(batch_rows * cols);
-            let mut flush_batch = |buf: &mut Vec<f64>, io_err: &mut Option<std::io::Error>| {
-                if buf.is_empty() || io_err.is_some() {
-                    buf.clear();
-                    return;
-                }
-                let rows = buf.len() / cols;
-                let batch = Matrix::from_vec(std::mem::take(buf), rows, cols);
-                match encode_chunk(&batch) {
-                    Ok(bytes) => {
-                        if let Err(e) = w.write_all(&bytes) {
-                            *io_err = Some(e);
-                        }
-                    }
-                    // Unreachable: the cell bound was checked above.
-                    Err(_) => {
-                        *io_err = Some(std::io::Error::other("chunk encoding failed"));
-                    }
-                }
-            };
-            let truth = spec.for_each_row(|_, row, _| {
-                buf.extend_from_slice(row);
-                if buf.len() == batch_rows * cols {
-                    flush_batch(&mut buf, &mut io_err);
-                }
-            });
-            flush_batch(&mut buf, &mut io_err);
-            let res = match io_err {
-                Some(e) => Err(e),
-                None => Ok(()),
-            };
-            (truth, res)
+        self.write_rows(path, |w, tmp| {
+            ChunkWriter::new(w, tmp, self.cols(), batch_rows)
         })
     }
 
-    /// Shared crash-safe streaming shell: validate, then hand the
-    /// buffered `<path>.tmp` of [`write_staged`] to `fill`.
-    fn write_streamed<F>(&self, path: &Path, fill: F) -> Result<ScenarioTruth, DataError>
+    /// Validate (before touching the filesystem), then stream every
+    /// row through the format writer `open` starts on the staged file.
+    fn write_rows<R>(
+        &self,
+        path: &Path,
+        open: impl FnOnce(BufWriter<File>, &Path) -> Result<R, DataError>,
+    ) -> Result<ScenarioTruth, DataError>
     where
-        F: FnOnce(
-            &Self,
-            &mut BufWriter<File>,
-        ) -> (Result<ScenarioTruth, DataError>, Result<(), std::io::Error>),
+        R: RowWriter<Sink = BufWriter<File>>,
     {
-        // Validate before touching the filesystem.
         self.validate().map_err(DataError::InvalidSpec)?;
-        write_staged(path, |w, tmp| {
-            let (truth, wrote) = fill(self, w);
-            let truth = truth?;
-            wrote.map_err(|e| DataError::io(tmp, e))?;
-            Ok(truth)
+        write_staged(path, open, |out| {
+            self.try_for_each_row(|_, row, label| out.push(row, Some(label)))
         })
     }
 
@@ -1256,52 +1132,37 @@ mod tests {
     }
 
     #[test]
-    fn prcl_writer_matches_materialized_encoding() {
-        let dir = std::env::temp_dir();
-        let path = dir.join(format!("proclus-scn-prcl-{}.prcl", std::process::id()));
-        let spec = small("prcl");
-        spec.write_prcl(&path).unwrap();
-        assert!(!crate::binio::tmp_path(&path).exists());
-        let (m, labels) = crate::binio::read_binary(&path).unwrap();
+    fn streamed_writers_match_the_materialized_encoding() {
+        let spec = small("writers");
         let g = spec.generate().unwrap();
-        assert_eq!(m, g.points);
-        assert_eq!(labels, Some(g.labels));
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn chunk_writer_round_trips_through_chunk_reader() {
         let dir = std::env::temp_dir();
-        let path = dir.join(format!("proclus-scn-chunks-{}.chunks", std::process::id()));
-        let spec = small("chunks");
-        spec.write_chunks(&path, 64).unwrap();
-        let bytes = std::fs::read(&path).unwrap();
-        let reader = crate::chunks::ChunkReader::new(&bytes);
-        let mut rows = 0usize;
-        let mut data: Vec<f64> = Vec::new();
-        for next in reader {
-            let batch = next.unwrap();
-            assert!(batch.rows() <= 64);
-            rows += batch.rows();
-            data.extend_from_slice(batch.as_slice());
+        for ext in ["csv", "prcl", "chunks"] {
+            let path = dir.join(format!("proclus-scn-{}-streamed.{ext}", std::process::id()));
+            let truth = match ext {
+                "csv" => spec.write_csv(&path),
+                "prcl" => spec.write_prcl(&path),
+                _ => spec.write_chunks(&path, 64),
+            }
+            .unwrap();
+            assert_eq!(truth, g.truth, "{ext}");
+            assert!(!crate::binio::tmp_path(&path).exists(), "{ext}");
+            let streamed = std::fs::read(&path).unwrap();
+            let (m, labels) = crate::read_dataset(&path).unwrap();
+            std::fs::remove_file(&path).ok();
+            let materialized = match ext {
+                "chunks" => crate::chunks::encode_chunk_stream(&g.points, 64).unwrap(),
+                _ => {
+                    crate::write_dataset(&path, &g.points, Some(&g.labels)).unwrap();
+                    let bytes = std::fs::read(&path).unwrap();
+                    std::fs::remove_file(&path).ok();
+                    bytes
+                }
+            };
+            assert!(streamed == materialized, "{ext} bytes differ");
+            assert_eq!(m, g.points, "{ext}");
+            let want = (ext != "chunks").then(|| g.labels.clone());
+            assert_eq!(labels, want, "{ext}");
         }
-        let g = spec.generate().unwrap();
-        assert_eq!(rows, 400);
-        assert_eq!(data, g.points.as_slice());
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn csv_writer_round_trips_through_read_csv() {
-        let dir = std::env::temp_dir();
-        let path = dir.join(format!("proclus-scn-csv-{}.csv", std::process::id()));
-        let spec = small("csv");
-        spec.write_csv(&path).unwrap();
-        let (m, labels) = crate::io::read_csv(&path).unwrap();
-        let g = spec.generate().unwrap();
-        assert_eq!(m, g.points);
-        assert_eq!(labels, Some(g.labels));
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -1397,8 +1258,9 @@ mod tests {
         let p = Path::new("/tmp/never-written.chunks");
         assert!(matches!(
             spec.write_chunks(p, 0).unwrap_err(),
-            DataError::InvalidSpec(_)
+            DataError::LengthMismatch { got: 0, .. }
         ));
+        assert!(!p.exists() && !crate::binio::tmp_path(p).exists());
         assert!(spec
             .write_chunks(p, crate::chunks::MAX_CHUNK_CELLS)
             .is_err());

@@ -14,8 +14,7 @@
 //! [`NoopRecorder::enabled`] is `false`, so an uninstrumented fit pays
 //! one virtual call per emission site at most — and the hot loops gate
 //! even that behind `enabled()` so the disabled path does no work and
-//! takes no clocks (verified by the `trace_overhead` bench group in
-//! `proclus_phases`).
+//! takes no clocks.
 
 use std::time::Duration;
 

@@ -21,8 +21,7 @@
 //! so a request replayed against the same model produces byte-identical
 //! wire bytes — the offline determinism contract, extended to HTTP.
 
-use proclus_data::chunks::{ChunkReader, CHUNK_MAGIC};
-use proclus_data::{binio, io as data_io};
+use proclus_data::decode_dataset;
 use proclus_math::Matrix;
 use proclus_obs::{json, Event};
 use std::fmt::Write as _;
@@ -137,44 +136,15 @@ fn health(state: &AppState) -> Response {
     )
 }
 
-/// Decode an upload body by sniffing its leading magic: `PRCL` is the
-/// validated binary matrix, `PRCK` a chunk stream, anything else CSV.
+/// Decode an upload or assign body in the format its leading magic
+/// announces (see [`Format::sniff`](proclus_data::Format::sniff)).
 fn decode_points(body: &[u8]) -> Result<Matrix, Response> {
     if body.is_empty() {
         return Err(Response::error(400, "empty body: expected points"));
     }
-    if body.starts_with(binio::MAGIC) {
-        let (points, _labels) = binio::decode(body)
-            .map_err(|e| Response::error(status_for_data(&e), &e.to_string()))?;
-        return Ok(points);
-    }
-    if body.starts_with(CHUNK_MAGIC) {
-        let mut data: Vec<f64> = Vec::new();
-        let mut rows = 0usize;
-        let mut cols: Option<usize> = None;
-        for chunk in ChunkReader::new(body) {
-            let chunk = chunk.map_err(|e| Response::error(status_for_data(&e), &e.to_string()))?;
-            match cols {
-                None => cols = Some(chunk.cols()),
-                Some(c) if c != chunk.cols() => {
-                    return Err(Response::error(
-                        400,
-                        &format!("chunk width changed from {c} to {}", chunk.cols()),
-                    ))
-                }
-                Some(_) => {}
-            }
-            rows += chunk.rows();
-            data.extend_from_slice(chunk.as_slice());
-        }
-        let Some(cols) = cols else {
-            return Err(Response::error(400, "chunk stream held no chunks"));
-        };
-        return Ok(Matrix::from_vec(data, rows, cols));
-    }
-    let (points, _labels) = data_io::read_csv_bytes(Path::new("<upload>"), body)
-        .map_err(|e| Response::error(status_for_data(&e), &e.to_string()))?;
-    Ok(points)
+    decode_dataset(Path::new("<upload>"), body)
+        .map(|(points, _labels)| points)
+        .map_err(|e| Response::error(status_for_data(&e), &e.to_string()))
 }
 
 fn valid_dataset_name(name: &str) -> bool {
@@ -440,6 +410,7 @@ fn shutdown(state: &AppState) -> Response {
 mod tests {
     use super::*;
     use crate::state::ServeConfig;
+    use proclus_data::{binio, io as data_io};
     use proclus_obs::NoopRecorder;
     use std::sync::Arc;
 
@@ -599,7 +570,7 @@ mod tests {
         );
         assert_eq!(handle(&s, &get("/v1/jobs/job-000042")).status, 404);
         // A truncated PRCL binary upload is located, not fatal.
-        let bad = binio::MAGIC.to_vec();
+        let bad = b"PRCL".to_vec();
         assert_eq!(handle(&s, &post("/v1/datasets/d", &bad)).status, 400);
     }
 
