@@ -4,8 +4,7 @@
 
 use crate::args::{ArgError, Args};
 use crate::io::validate_label_ids;
-use proclus_data::read_dataset;
-use proclus_data::Label;
+use proclus_data::{read_dataset, Label};
 use proclus_eval::{adjusted_rand_index, normalized_mutual_information, ConfusionMatrix};
 use std::error::Error;
 use std::io::Write;

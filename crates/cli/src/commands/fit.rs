@@ -42,7 +42,8 @@ proclus fit — PROCLUS projected clustering (SIGMOD 1999)
   --trace-out <dir> stream events.jsonl + run.json into this directory
                     (inspect later with `proclus inspect-trace`)
   --out <path>      write points + assignment labels to this file (format
-                    by extension as for --input; .chunks keeps no labels)
+                    by extension as for --input; .chunks, which holds no
+                    labels, is refused)
 ";
 
 /// Ring capacity for the `--verbose` summary; old events are evicted

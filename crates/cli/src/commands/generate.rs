@@ -2,8 +2,7 @@
 //! (the paper's §4.1 generator).
 
 use crate::args::{ArgError, Args};
-use proclus_data::write_dataset;
-use proclus_data::SyntheticSpec;
+use proclus_data::{write_dataset, Format, SyntheticSpec};
 use std::error::Error;
 use std::io::Write;
 use std::path::PathBuf;
@@ -48,7 +47,9 @@ pub fn run(args: &Args, out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
     spec.validate().map_err(ArgError)?;
 
     let data = spec.try_generate()?;
-    let labels = (!no_labels).then_some(data.labels.as_slice());
+    // A `.chunks` file holds no labels.
+    let unlabeled = no_labels || Format::from_path(&out_path) == Format::Chunks;
+    let labels = (!unlabeled).then_some(data.labels.as_slice());
     write_dataset(&out_path, &data.points, labels)?;
     writeln!(
         out,

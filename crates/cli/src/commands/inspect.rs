@@ -3,8 +3,7 @@
 
 use crate::args::Args;
 use crate::io::validate_label_ids;
-use proclus_data::read_dataset;
-use proclus_data::Label;
+use proclus_data::{read_dataset, Label};
 use proclus_math::stats::Welford;
 use std::error::Error;
 use std::io::Write;

@@ -11,13 +11,14 @@ use std::path::PathBuf;
 pub const HELP: &str = "\
 proclus orclus — generalized projected clustering (ORCLUS, SIGMOD 2000)
 
-  --input <path>   dataset file (.csv or binary) (required)
+  --input <path>   dataset file; format by extension as for fit (required)
   --k <usize>      number of clusters (required)
   --l <usize>      subspace dimensionality per cluster (required)
   --seed <u64>     PRNG seed [default 0]
   --k0 <usize>     initial seed count [default 5k]
   --alpha <f64>    cluster-count decay per phase [default 0.5]
-  --out <path>     write points + assignment labels to this file
+  --out <path>     write points + assignment labels to this file (not
+                   .chunks, which holds no labels)
 ";
 
 /// Run the command; prints per-cluster energies and bases.

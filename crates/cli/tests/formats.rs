@@ -5,7 +5,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use std::path::{Path, PathBuf};
-use std::process::Command;
+use std::process::{Command, Output};
 
 fn scratch(name: &str) -> PathBuf {
     let id = std::process::id();
@@ -15,16 +15,21 @@ fn scratch(name: &str) -> PathBuf {
     dir
 }
 
-/// Run `proclus` with whitespace-separated `args` in `dir`, asserting
-/// success; `{scenarios}` expands to the repository's scenario zoo.
-fn proclus(dir: &Path, args: &str) -> String {
+/// Run `proclus` with whitespace-separated `args` in `dir`;
+/// `{scenarios}` expands to the repository's scenario zoo.
+fn run(dir: &Path, args: &str) -> Output {
     let zoo = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios");
     let args = args.replace("{scenarios}", &zoo.display().to_string());
-    let out = Command::new(env!("CARGO_BIN_EXE_proclus"))
+    Command::new(env!("CARGO_BIN_EXE_proclus"))
         .args(args.split_whitespace())
         .current_dir(dir)
         .output()
-        .unwrap();
+        .unwrap()
+}
+
+/// [`run`], asserting success; returns stdout.
+fn proclus(dir: &Path, args: &str) -> String {
+    let out = run(dir, args);
     let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(out.status.success(), "proclus {args}: {stdout}{stderr}");
@@ -88,5 +93,29 @@ fn generated_chunks_stream_without_quarantine() {
     );
     assert!(text.contains("promoted as generation 1"), "{text}");
     assert!(text.contains("serving: generation 1"), "{text}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn assignments_are_never_written_into_label_free_chunks() {
+    let dir = scratch("assignment-chunks");
+    proclus(
+        &dir,
+        "generate --n 600 --dims 6 --clusters 2 --avg-cluster-dims 3 --seed 5 --out g.csv",
+    );
+    for cmd in [
+        "fit --input g.csv --k 2 --l 3 --restarts 1 --out found.chunks",
+        "orclus --input g.csv --k 2 --l 3 --out found.chunks",
+    ] {
+        let out = run(&dir, cmd);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(65), "{cmd}: {stderr}");
+        assert!(
+            stderr.contains(".chunks file, which holds none"),
+            "{cmd}: {stderr}"
+        );
+        assert!(!dir.join("found.chunks").exists(), "{cmd}");
+        assert!(!dir.join("found.chunks.tmp").exists(), "{cmd}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }

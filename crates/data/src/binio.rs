@@ -21,16 +21,14 @@
 //! allocation larger than the file itself.
 
 use crate::error::DataError;
-use crate::format::{push_rows, required, RowWriter};
+use crate::format::{required, write_rows, RowWriter};
 use crate::label::Label;
 use proclus_math::{fnv1a64_continue, Matrix};
 use std::fs;
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 
-/// File magic opening every `PRCL` binary dataset (public so format
-/// sniffers — e.g. the serving daemon's upload endpoint — can route a
-/// buffer without attempting a full decode).
+/// File magic opening every `PRCL` binary dataset.
 pub const MAGIC: &[u8; 4] = b"PRCL";
 const VERSION: u8 = 1;
 
@@ -43,30 +41,29 @@ const VERSION: u8 = 1;
 /// different from the point count.
 pub fn encode(points: &Matrix, labels: Option<&[Label]>) -> Result<Vec<u8>, DataError> {
     let (rows, cols) = (points.rows(), points.cols());
-    let len = 22 + rows * cols * 8 + labels.map_or(0, |_| rows * 8);
-    let sink = Vec::with_capacity(len);
-    let mut out = PrclWriter::new(sink, Path::new(""), rows, cols, labels.is_some())?;
-    push_rows(&mut out, points, labels)?;
-    out.finish()
+    let mut buf = Vec::with_capacity(22 + rows * cols * 8 + labels.map_or(0, |_| rows * 8));
+    let out = PrclWriter::new(&mut buf, Path::new(""), rows, cols, labels.is_some())?;
+    write_rows(out, points, labels)?;
+    Ok(buf)
 }
 
 /// Row-by-row `PRCL` encoder: the header goes out first and rows
 /// stream through, while the label column, stored after the matrix,
 /// is buffered as `i64` until `finish` appends it.
-pub(crate) struct PrclWriter<W> {
-    w: W,
-    origin: PathBuf,
+pub(crate) struct PrclWriter<'a, W> {
+    w: &'a mut W,
+    origin: &'a Path,
     rows: usize,
     pushed: usize,
     labels: Option<Vec<i64>>,
 }
 
-impl<W: Write> PrclWriter<W> {
+impl<'a, W: Write> PrclWriter<'a, W> {
     /// Write the header of a `rows × cols` dataset, labeled or not, to
     /// `w`; `origin` names `w` in errors.
     pub(crate) fn new(
-        mut w: W,
-        origin: &Path,
+        w: &'a mut W,
+        origin: &'a Path,
         rows: usize,
         cols: usize,
         labeled: bool,
@@ -80,7 +77,6 @@ impl<W: Write> PrclWriter<W> {
         w.write_all(&header.concat())
             .map_err(|e| DataError::io(origin, e))?;
         let labels = labeled.then(|| Vec::with_capacity(rows));
-        let origin = origin.into();
         Ok(Self {
             w,
             origin,
@@ -93,13 +89,11 @@ impl<W: Write> PrclWriter<W> {
     fn put(&mut self, bytes: [u8; 8]) -> Result<(), DataError> {
         self.w
             .write_all(&bytes)
-            .map_err(|e| DataError::io(&self.origin, e))
+            .map_err(|e| DataError::io(self.origin, e))
     }
 }
 
-impl<W: Write> RowWriter for PrclWriter<W> {
-    type Sink = W;
-
+impl<W: Write> RowWriter for PrclWriter<'_, W> {
     fn push(&mut self, row: &[f64], label: Option<Label>) -> Result<(), DataError> {
         if let Some(ids) = &mut self.labels {
             ids.push(label_id(required(label)?));
@@ -113,7 +107,7 @@ impl<W: Write> RowWriter for PrclWriter<W> {
 
     /// Fails with [`DataError::LengthMismatch`] when the number of rows
     /// pushed differs from the header's row count.
-    fn finish(mut self) -> Result<W, DataError> {
+    fn finish(mut self) -> Result<(), DataError> {
         if self.pushed != self.rows {
             return Err(DataError::LengthMismatch {
                 what: "PRCL rows pushed",
@@ -124,7 +118,7 @@ impl<W: Write> RowWriter for PrclWriter<W> {
         for id in self.labels.take().into_iter().flatten() {
             self.put(id.to_le_bytes())?;
         }
-        Ok(self.w)
+        Ok(())
     }
 }
 
@@ -293,45 +287,39 @@ pub fn tmp_path(path: &Path) -> PathBuf {
     PathBuf::from(os)
 }
 
-/// The temp-file + rename shell every dataset writer shares: `open`
-/// starts a format's [`RowWriter`] on a buffered `<path>.tmp` (it gets
-/// the temp path for error context) and `fill` pushes the rows; the
-/// writer's sink is then flushed, fsynced and renamed over `path`
-/// (atomic on POSIX), and the parent directory fsynced best-effort.
+/// The temp-file + rename shell every dataset writer shares: `fill`
+/// writes the dataset to a buffered `<path>.tmp` (it gets the temp path
+/// for error context), which is then flushed, fsynced and renamed over
+/// `path` (atomic on POSIX), and the parent directory fsynced
+/// best-effort.
 ///
 /// A crash at any instant leaves either the old file intact (possibly
 /// next to a detectable partial `.tmp`) or the new file complete —
 /// never a torn `path`. Once the temp file exists, any failure — in
-/// `open`, `fill`, `finish`, the flush, the fsync or the rename —
-/// removes it before the error is returned.
+/// `fill`, the flush, the fsync or the rename — removes it before the
+/// error is returned.
 ///
 /// # Errors
 ///
 /// [`DataError::Io`] naming the staged or final path on an I/O failure,
-/// or whatever the writer returns.
-pub(crate) fn write_staged<R, T>(
+/// or whatever `fill` returns.
+pub(crate) fn write_staged<T>(
     path: &Path,
-    open: impl FnOnce(BufWriter<fs::File>, &Path) -> Result<R, DataError>,
-    fill: impl FnOnce(&mut R) -> Result<T, DataError>,
-) -> Result<T, DataError>
-where
-    R: RowWriter<Sink = BufWriter<fs::File>>,
-{
+    fill: impl FnOnce(&mut BufWriter<fs::File>, &Path) -> Result<T, DataError>,
+) -> Result<T, DataError> {
     let tmp = tmp_path(path);
     let file = fs::File::create(&tmp).map_err(|e| DataError::io(&tmp, e))?;
     // Writers push a few bytes at a time; 64 KiB keeps the write
     // syscalls per megabyte in the tens.
-    let file = BufWriter::with_capacity(1 << 16, file);
-    let published = open(file, &tmp).and_then(|mut out| {
-        let filled = fill(&mut out)?;
-        let f = out
-            .finish()?
+    let mut w = BufWriter::with_capacity(1 << 16, file);
+    let published = fill(&mut w, &tmp).and_then(|out| {
+        let f = w
             .into_inner()
             .map_err(|e| DataError::io(&tmp, e.into_error()))?;
         f.sync_all().map_err(|e| DataError::io(&tmp, e))?;
         drop(f);
         fs::rename(&tmp, path).map_err(|e| DataError::io(path, e))?;
-        Ok(filled)
+        Ok(out)
     });
     if published.is_err() {
         let _ = fs::remove_file(&tmp);
@@ -359,11 +347,10 @@ pub fn write_binary(
     points: &Matrix,
     labels: Option<&[Label]>,
 ) -> Result<(), DataError> {
-    write_staged(
-        path,
-        |w, tmp| PrclWriter::new(w, tmp, points.rows(), points.cols(), labels.is_some()),
-        |out| push_rows(out, points, labels),
-    )
+    write_staged(path, |w, tmp| {
+        let out = PrclWriter::new(w, tmp, points.rows(), points.cols(), labels.is_some())?;
+        write_rows(out, points, labels)
+    })
 }
 
 /// Read a file produced by [`write_binary`].
@@ -593,11 +580,11 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("proclus-bin-short-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("short.prcl");
-        let err = write_staged(
-            &path,
-            |w, tmp| PrclWriter::new(w, tmp, 3, 2, true),
-            |out| out.push(&[1.0, 2.0], Some(Label::Outlier)),
-        )
+        let err = write_staged(&path, |w, tmp| {
+            let mut out = PrclWriter::new(w, tmp, 3, 2, true)?;
+            out.push(&[1.0, 2.0], Some(Label::Outlier))?;
+            out.finish()
+        })
         .unwrap_err();
         assert!(
             matches!(
@@ -614,10 +601,11 @@ mod tests {
         assert!(!path.exists());
         // Pushing past the header's count is caught the same way, and
         // a labeled writer refuses a row without a label.
-        let mut over = PrclWriter::new(Vec::new(), &path, 0, 1, false).unwrap();
+        let mut buf = Vec::new();
+        let mut over = PrclWriter::new(&mut buf, &path, 0, 1, false).unwrap();
         over.push(&[1.0], None).unwrap();
         assert!(over.finish().is_err());
-        let mut labeled = PrclWriter::new(Vec::new(), &path, 1, 1, true).unwrap();
+        let mut labeled = PrclWriter::new(&mut buf, &path, 1, 1, true).unwrap();
         assert!(labeled.push(&[1.0], None).is_err());
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -26,11 +26,11 @@
 //! located error and ends.
 
 use crate::error::DataError;
-use crate::format::{push_rows, RowWriter};
+use crate::format::{write_rows, RowWriter};
 use crate::label::Label;
 use proclus_math::{fnv1a64, fnv1a64_continue, Matrix};
 use std::io::Write;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// Frame magic for one streamed chunk.
 pub const CHUNK_MAGIC: &[u8; 4] = b"PRCK";
@@ -46,15 +46,22 @@ pub const MAX_CHUNK_CELLS: usize = 1 << 22;
 /// [`write_dataset`](crate::write_dataset).
 pub const BATCH_ROWS: usize = 256;
 
-/// Serialize one batch of points as a single framed chunk (an empty
-/// batch encodes to no bytes).
+/// Serialize one batch of points as a single framed chunk.
 ///
 /// # Errors
 ///
 /// [`DataError::LengthMismatch`] when the batch exceeds
 /// [`MAX_CHUNK_CELLS`] cells.
 pub fn encode_chunk(batch: &Matrix) -> Result<Vec<u8>, DataError> {
-    encode_chunk_stream(batch, batch.rows().max(1))
+    let mut buf = Vec::new();
+    let rows = batch.rows();
+    let mut out = ChunkWriter::new(&mut buf, Path::new(""), batch.cols(), rows.max(1))?;
+    batch.iter_rows().try_for_each(|row| out.push(row, None))?;
+    if rows == 0 {
+        // Pushing fills no frame; an empty batch is one 0-row frame.
+        out.write_frame()?;
+    }
+    Ok(buf)
 }
 
 /// Serialize `points` into a sequence of chunks of at most
@@ -65,34 +72,35 @@ pub fn encode_chunk(batch: &Matrix) -> Result<Vec<u8>, DataError> {
 /// [`DataError::LengthMismatch`] when `batch_rows` is 0 or a frame
 /// would exceed [`MAX_CHUNK_CELLS`] cells.
 pub fn encode_chunk_stream(points: &Matrix, batch_rows: usize) -> Result<Vec<u8>, DataError> {
+    let mut buf = Vec::new();
     // A frame never holds more rows than the matrix has (0 stays 0).
     let batch_rows = batch_rows.min(points.rows().max(1));
-    let mut out = ChunkWriter::new(Vec::new(), Path::new(""), points.cols(), batch_rows)?;
-    push_rows(&mut out, points, None)?;
-    out.finish()
+    let out = ChunkWriter::new(&mut buf, Path::new(""), points.cols(), batch_rows)?;
+    write_rows(out, points, None)?;
+    Ok(buf)
 }
 
 /// Row-by-row `PRCK` encoder: buffers the payload of at most
 /// `batch_rows` rows and writes each full batch, and the last one on
 /// `finish`, as one checksummed frame. Labels are not part of the
 /// format and are dropped.
-pub(crate) struct ChunkWriter<W> {
-    w: W,
-    origin: PathBuf,
+pub(crate) struct ChunkWriter<'a, W> {
+    w: &'a mut W,
+    origin: &'a Path,
     cols: usize,
     batch_rows: usize,
     rows: usize,
     payload: Vec<u8>,
 }
 
-impl<W: Write> ChunkWriter<W> {
+impl<'a, W: Write> ChunkWriter<'a, W> {
     /// Frame `cols`-wide rows into `batch_rows`-row batches on `w`;
     /// `origin` names `w` in errors. Fails with
     /// [`DataError::LengthMismatch`] when `batch_rows` is 0 or a batch
     /// would exceed [`MAX_CHUNK_CELLS`] cells.
     pub(crate) fn new(
-        w: W,
-        origin: &Path,
+        w: &'a mut W,
+        origin: &'a Path,
         cols: usize,
         batch_rows: usize,
     ) -> Result<Self, DataError> {
@@ -105,14 +113,13 @@ impl<W: Write> ChunkWriter<W> {
                 got: cells,
             });
         }
-        let (origin, payload) = (origin.into(), Vec::with_capacity(batch_rows * cols * 8));
         Ok(Self {
             w,
             origin,
             cols,
             batch_rows,
             rows: 0,
-            payload,
+            payload: Vec::with_capacity(batch_rows * cols * 8),
         })
     }
 
@@ -122,20 +129,18 @@ impl<W: Write> ChunkWriter<W> {
         let dims = [self.rows as u32, self.cols as u32].map(u32::to_le_bytes);
         let header = [CHUNK_MAGIC.as_slice(), &[CHUNK_VERSION], &dims.concat()].concat();
         let check = fnv1a64_continue(fnv1a64(&header), &self.payload).to_le_bytes();
-        let w = &mut self.w;
+        let w = &mut *self.w;
         [&header[..], &self.payload, &check]
             .iter()
             .try_for_each(|part| w.write_all(part))
-            .map_err(|e| DataError::io(&self.origin, e))?;
+            .map_err(|e| DataError::io(self.origin, e))?;
         self.payload.clear();
         self.rows = 0;
         Ok(())
     }
 }
 
-impl<W: Write> RowWriter for ChunkWriter<W> {
-    type Sink = W;
-
+impl<W: Write> RowWriter for ChunkWriter<'_, W> {
     fn push(&mut self, row: &[f64], _label: Option<Label>) -> Result<(), DataError> {
         self.payload
             .extend(row.iter().flat_map(|v| v.to_le_bytes()));
@@ -146,11 +151,11 @@ impl<W: Write> RowWriter for ChunkWriter<W> {
         Ok(())
     }
 
-    fn finish(mut self) -> Result<W, DataError> {
+    fn finish(mut self) -> Result<(), DataError> {
         if self.rows > 0 {
             self.write_frame()?;
         }
-        Ok(self.w)
+        Ok(())
     }
 }
 
@@ -463,7 +468,10 @@ mod tests {
             "{err}"
         );
         assert!(decode_chunks(&[]).is_err());
-        assert!(encode_chunk(&Matrix::zeros(0, 3)).unwrap().is_empty());
+        let empty = encode_chunk(&Matrix::zeros(0, 3)).unwrap();
+        let frames: Vec<_> = ChunkReader::new(&empty).collect();
+        assert_eq!(frames.len(), 1);
+        assert_eq!(frames[0].as_ref().unwrap().cols(), 3);
     }
 
     #[test]

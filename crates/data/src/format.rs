@@ -45,17 +45,19 @@ impl Format {
     }
 }
 
-/// A format's row encoder: rows go in one at a time, and `finish`
-/// completes the encoding and hands back the sink.
-pub(crate) trait RowWriter {
-    type Sink;
+/// A format's row encoder: rows go in one at a time, then `finish`
+/// completes the encoding.
+pub(crate) trait RowWriter: Sized {
     fn push(&mut self, row: &[f64], label: Option<Label>) -> Result<(), DataError>;
-    fn finish(self) -> Result<Self::Sink, DataError>;
+    fn finish(self) -> Result<(), DataError> {
+        Ok(())
+    }
 }
 
-/// Push every row of `points`, each with its entry of `labels`.
-pub(crate) fn push_rows(
-    out: &mut impl RowWriter,
+/// Push every row of `points`, each with its entry of `labels`, then
+/// finish.
+pub(crate) fn write_rows(
+    mut out: impl RowWriter,
     points: &Matrix,
     labels: Option<&[Label]>,
 ) -> Result<(), DataError> {
@@ -69,7 +71,7 @@ pub(crate) fn push_rows(
     for (i, row) in points.iter_rows().enumerate() {
         out.push(row, labels.map(|ls| ls[i]))?;
     }
-    Ok(())
+    out.finish()
 }
 
 /// The label a labeled writer requires of every row.
@@ -100,31 +102,30 @@ pub fn read_dataset(path: &Path) -> Result<(Matrix, Option<Vec<Label>>), DataErr
 }
 
 /// Write a dataset file, crash-safely, in the format its path names;
-/// `PRCK` frames hold up to [`chunks::BATCH_ROWS`] rows (fewer when
-/// that many would exceed [`chunks::MAX_CHUNK_CELLS`]) and drop the
-/// labels.
+/// `PRCK` frames hold [`chunks::BATCH_ROWS`] rows each.
 ///
 /// # Errors
 ///
-/// [`DataError::LengthMismatch`] on misaligned labels or rows too wide
-/// for a `PRCK` frame; [`DataError::Io`] on any I/O failure.
+/// [`DataError::LengthMismatch`] on misaligned labels, on any labels
+/// for a `PRCK` file (it holds none, so they would be lost) or on rows
+/// too wide for a `PRCK` frame; [`DataError::Io`] on any I/O failure.
 pub fn write_dataset(
     path: &Path,
     points: &Matrix,
     labels: Option<&[Label]>,
 ) -> Result<(), DataError> {
-    match Format::from_path(path) {
-        Format::Csv => io::write_csv(path, points, labels),
-        Format::Prcl => binio::write_binary(path, points, labels),
-        Format::Chunks => {
-            let cols = points.cols();
-            let batch_rows = (chunks::MAX_CHUNK_CELLS / cols.max(1)).clamp(1, chunks::BATCH_ROWS);
-            binio::write_staged(
-                path,
-                |w, tmp| ChunkWriter::new(w, tmp, cols, batch_rows),
-                |out| push_rows(out, points, labels),
-            )
-        }
+    match (Format::from_path(path), labels) {
+        (Format::Csv, _) => io::write_csv(path, points, labels),
+        (Format::Prcl, _) => binio::write_binary(path, points, labels),
+        (Format::Chunks, Some(ls)) => Err(DataError::LengthMismatch {
+            what: "labels in a .chunks file, which holds none",
+            expected: 0,
+            got: ls.len(),
+        }),
+        (Format::Chunks, None) => binio::write_staged(path, |w, tmp| {
+            let out = ChunkWriter::new(w, tmp, points.cols(), chunks::BATCH_ROWS)?;
+            write_rows(out, points, None)
+        }),
     }
 }
 
@@ -188,20 +189,20 @@ mod tests {
         let labels = vec![Label::Cluster(1), Label::Outlier, Label::Cluster(0)];
         for name in ["x.csv", "x.CSV", "x.prcl", "x.chunks", "x.Chunks"] {
             let path = tmp(name);
-            write_dataset(&path, &m, Some(&labels)).unwrap();
+            let chunked = Format::from_path(&path) == Format::Chunks;
+            let want = (!chunked).then(|| labels.clone());
+            write_dataset(&path, &m, want.as_deref()).unwrap();
             let (m2, l2) = read_dataset(&path).unwrap();
             let bytes = std::fs::read(&path).unwrap();
             std::fs::remove_file(&path).ok();
             assert_eq!(m, m2, "{name}");
-            let chunked = Format::from_path(&path) == Format::Chunks;
-            let want = (!chunked).then(|| labels.clone());
             assert_eq!(l2, want, "{name}");
             assert_eq!(Format::sniff(&bytes), Format::from_path(&path), "{name}");
             let (m3, l3) = decode_dataset(&path, &bytes).unwrap();
             assert_eq!((m3, l3), (m2, want), "{name}");
         }
         let short = &labels[..2];
-        for name in ["y.csv", "y.prcl", "y.chunks"] {
+        for name in ["y.csv", "y.prcl"] {
             let path = tmp(name);
             let err = write_dataset(&path, &m, Some(short)).unwrap_err();
             assert!(matches!(
@@ -214,5 +215,18 @@ mod tests {
             ));
             assert!(!path.exists() && !binio::tmp_path(&path).exists(), "{name}");
         }
+        // A `.chunks` file holds no labels: writing some is refused
+        // rather than silently dropping them.
+        let path = tmp("z.chunks");
+        let err = write_dataset(&path, &m, Some(&labels)).unwrap_err();
+        assert!(matches!(
+            err,
+            DataError::LengthMismatch {
+                expected: 0,
+                got: 3,
+                ..
+            }
+        ));
+        assert!(!path.exists() && !binio::tmp_path(&path).exists());
     }
 }

@@ -7,12 +7,12 @@
 
 use crate::binio::write_staged;
 use crate::error::DataError;
-use crate::format::{push_rows, required, RowWriter};
+use crate::format::{required, write_rows, RowWriter};
 use crate::label::Label;
 use proclus_math::Matrix;
 use std::fs::File;
 use std::io::{self, BufRead, BufReader, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// Write `points` (and optionally aligned `labels`) as CSV.
 ///
@@ -27,48 +27,44 @@ use std::path::{Path, PathBuf};
 /// same length as the point count; [`DataError::Io`] on any I/O
 /// failure.
 pub fn write_csv(path: &Path, points: &Matrix, labels: Option<&[Label]>) -> Result<(), DataError> {
-    write_staged(
-        path,
-        |w, tmp| CsvWriter::new(w, tmp, points.cols(), labels.is_some()),
-        |out| push_rows(out, points, labels),
-    )
+    write_staged(path, |w, tmp| {
+        let out = CsvWriter::new(w, tmp, points.cols(), labels.is_some())?;
+        write_rows(out, points, labels)
+    })
 }
 
 /// Row-by-row CSV encoder: the header line `x0,x1,…[,label]`, then one
 /// line per row, each value in its shortest round-trip form.
-pub(crate) struct CsvWriter<W> {
-    w: W,
-    origin: PathBuf,
+pub(crate) struct CsvWriter<'a, W> {
+    w: &'a mut W,
+    origin: &'a Path,
     labeled: bool,
 }
 
-impl<W: Write> CsvWriter<W> {
+impl<'a, W: Write> CsvWriter<'a, W> {
     /// Write the header of a `cols`-wide dataset, labeled or not, to
     /// `w`; `origin` names `w` in errors.
     pub(crate) fn new(
-        mut w: W,
-        origin: &Path,
+        w: &'a mut W,
+        origin: &'a Path,
         cols: usize,
         labeled: bool,
     ) -> Result<Self, DataError> {
         let mut header: Vec<String> = (0..cols).map(|j| format!("x{j}")).collect();
         header.extend(labeled.then(|| "label".to_string()));
         writeln!(w, "{}", header.join(",")).map_err(|e| DataError::io(origin, e))?;
-        let origin = origin.into();
         Ok(Self { w, origin, labeled })
     }
 }
 
-impl<W: Write> RowWriter for CsvWriter<W> {
-    type Sink = W;
-
+impl<W: Write> RowWriter for CsvWriter<'_, W> {
     fn push(&mut self, row: &[f64], label: Option<Label>) -> Result<(), DataError> {
         let label = if self.labeled {
             Some(required(label)?)
         } else {
             None
         };
-        let w = &mut self.w;
+        let w = &mut *self.w;
         let line = (|| {
             for (j, v) in row.iter().enumerate() {
                 if j > 0 {
@@ -81,11 +77,7 @@ impl<W: Write> RowWriter for CsvWriter<W> {
                 None => writeln!(w),
             }
         })();
-        line.map_err(|e| DataError::io(&self.origin, e))
-    }
-
-    fn finish(self) -> Result<W, DataError> {
-        Ok(self.w)
+        line.map_err(|e| DataError::io(self.origin, e))
     }
 }
 
@@ -446,11 +438,9 @@ mod tests {
         assert!(!crate::binio::tmp_path(&dir).exists());
         // A row missing its label fails mid-stream, before the rename.
         let path = tmp("missing-label.csv");
-        let err = write_staged(
-            &path,
-            |w, tmp| CsvWriter::new(w, tmp, 2, true),
-            |out| out.push(m.row(0), None),
-        )
+        let err = write_staged(&path, |w, tmp| {
+            CsvWriter::new(w, tmp, 2, true)?.push(m.row(0), None)
+        })
         .unwrap_err();
         assert!(matches!(err, DataError::LengthMismatch { .. }), "{err:?}");
         assert!(!crate::binio::tmp_path(&path).exists());

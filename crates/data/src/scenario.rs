@@ -41,8 +41,6 @@ use proclus_math::Matrix;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use std::fs::File;
-use std::io::BufWriter;
 use std::path::Path;
 
 /// Coordinate distribution used on the cluster dimensions.
@@ -392,7 +390,10 @@ impl ScenarioSpec {
     /// [`DataError::InvalidSpec`] on an invalid scenario,
     /// [`DataError::Io`] on any I/O failure.
     pub fn write_csv(&self, path: &Path) -> Result<ScenarioTruth, DataError> {
-        self.write_rows(path, |w, tmp| CsvWriter::new(w, tmp, self.cols(), true))
+        self.validate().map_err(DataError::InvalidSpec)?;
+        write_staged(path, |w, tmp| {
+            self.write_rows(CsvWriter::new(w, tmp, self.cols(), true)?)
+        })
     }
 
     /// Stream the scenario into a labeled `PRCL` binary file; only the
@@ -403,8 +404,11 @@ impl ScenarioSpec {
     ///
     /// As [`write_csv`](ScenarioSpec::write_csv).
     pub fn write_prcl(&self, path: &Path) -> Result<ScenarioTruth, DataError> {
+        self.validate().map_err(DataError::InvalidSpec)?;
         let (rows, cols) = (self.rows(), self.cols());
-        self.write_rows(path, |w, tmp| PrclWriter::new(w, tmp, rows, cols, true))
+        write_staged(path, |w, tmp| {
+            self.write_rows(PrclWriter::new(w, tmp, rows, cols, true)?)
+        })
     }
 
     /// Stream the scenario into a `PRCK` chunk file (`batch_rows` rows
@@ -416,25 +420,17 @@ impl ScenarioSpec {
     /// As [`write_csv`](ScenarioSpec::write_csv), plus
     /// [`DataError::LengthMismatch`] on a zero or oversized `batch_rows`.
     pub fn write_chunks(&self, path: &Path, batch_rows: usize) -> Result<ScenarioTruth, DataError> {
-        self.write_rows(path, |w, tmp| {
-            ChunkWriter::new(w, tmp, self.cols(), batch_rows)
+        self.validate().map_err(DataError::InvalidSpec)?;
+        write_staged(path, |w, tmp| {
+            self.write_rows(ChunkWriter::new(w, tmp, self.cols(), batch_rows)?)
         })
     }
 
-    /// Validate (before touching the filesystem), then stream every
-    /// row through the format writer `open` starts on the staged file.
-    fn write_rows<R>(
-        &self,
-        path: &Path,
-        open: impl FnOnce(BufWriter<File>, &Path) -> Result<R, DataError>,
-    ) -> Result<ScenarioTruth, DataError>
-    where
-        R: RowWriter<Sink = BufWriter<File>>,
-    {
-        self.validate().map_err(DataError::InvalidSpec)?;
-        write_staged(path, open, |out| {
-            self.try_for_each_row(|_, row, label| out.push(row, Some(label)))
-        })
+    /// Stream every row, labeled, through a format writer.
+    fn write_rows(&self, mut out: impl RowWriter) -> Result<ScenarioTruth, DataError> {
+        let truth = self.try_for_each_row(|_, row, label| out.push(row, Some(label)))?;
+        out.finish()?;
+        Ok(truth)
     }
 
     /// Realize the epoch-0 geometry from the epoch RNG. Draw order is

@@ -570,7 +570,7 @@ mod tests {
         );
         assert_eq!(handle(&s, &get("/v1/jobs/job-000042")).status, 404);
         // A truncated PRCL binary upload is located, not fatal.
-        let bad = b"PRCL".to_vec();
+        let bad = binio::MAGIC.to_vec();
         assert_eq!(handle(&s, &post("/v1/datasets/d", &bad)).status, 400);
     }
 
